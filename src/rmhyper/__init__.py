@@ -17,8 +17,6 @@ from .coloring import (
     enumerate_partitions,
     find_good_coloring,
     find_part_rainbow_bad,
-    verify_part_rainbow_forced,
-    verify_rm_unavoidable,
 )
 from .core import (
     Hypergraph,
@@ -110,6 +108,4 @@ __all__ = [
     "random_search_unavoidable",
     "sample_subedges",
     "supply_min_degree_girth",
-    "verify_part_rainbow_forced",
-    "verify_rm_unavoidable",
 ]

@@ -95,18 +95,6 @@ class Verdict:
     coloring: Coloring | None
     nodes: int
 
-    @classmethod
-    def witness(cls, coloring: Coloring, nodes: int) -> "Verdict":
-        return cls(VerdictStatus.WITNESS_FOUND, coloring, nodes)
-
-    @classmethod
-    def holds(cls, nodes: int) -> "Verdict":
-        return cls(VerdictStatus.PROPERTY_HOLDS, None, nodes)
-
-    @classmethod
-    def budget_exceeded(cls, nodes: int) -> "Verdict":
-        return cls(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
-
 
 def classify_edge(coloring: Coloring | Mapping[VertexId, int], edge: frozenset[VertexId]) -> EdgeClass:
     """Monochromatic, rainbow or mixed, given all edge vertices are colored."""
@@ -232,7 +220,9 @@ def _backtrack(
     groups: Sequence[Sequence[VertexId]] | None,
     budget: int,
     order_strategy: str,
-) -> tuple[VerdictStatus, dict[VertexId, int] | None, int]:
+) -> Verdict:
+    """The shared search; a witness comes back canonicalised, and each entry
+    point re-verifies it against its own property."""
     n = h.num_vertices
     edges = h.edge_index_tuples()
     m = len(edges)
@@ -260,12 +250,12 @@ def _backtrack(
 
     nodes = 0
     num_used = 0
-    out: dict[VertexId, int] | None = None
+    out: Coloring | None = None
 
     def dfs(depth: int) -> bool:
         nonlocal nodes, num_used, out
         if depth == n:
-            out = {h.vertices[i]: color[i] for i in range(n)}
+            out = Coloring.from_assignment(h, {h.vertices[i]: color[i] for i in range(n)})
             return True
         v = order[depth]
         gi = group_of[v]
@@ -329,10 +319,10 @@ def _backtrack(
     try:
         found = dfs(0)
     except _BudgetExhausted:
-        return VerdictStatus.BUDGET_EXCEEDED, None, nodes
+        return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
     if found:
-        return VerdictStatus.WITNESS_FOUND, out, nodes
-    return VerdictStatus.PROPERTY_HOLDS, None, nodes
+        return Verdict(VerdictStatus.WITNESS_FOUND, out, nodes)
+    return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
 
 
 def find_good_coloring(
@@ -347,7 +337,7 @@ def find_good_coloring(
     a monochromatic or rainbow edge; ``BUDGET_EXCEEDED`` reports the node
     count reached.
     """
-    status, raw, nodes = _backtrack(
+    verdict = _backtrack(
         h,
         forbid_mono=True,
         forbid_rainbow=True,
@@ -355,29 +345,9 @@ def find_good_coloring(
         budget=budget,
         order_strategy=order_strategy,
     )
-    if status is VerdictStatus.WITNESS_FOUND:
-        assert raw is not None
-        coloring = Coloring.from_assignment(h, raw)
-        if not coloring_is_good(h, coloring):
-            raise AssertionError("solver produced a coloring that fails re-verification")
-        return Verdict.witness(coloring, nodes)
-    if status is VerdictStatus.PROPERTY_HOLDS:
-        return Verdict.holds(nodes)
-    return Verdict.budget_exceeded(nodes)
-
-
-def verify_rm_unavoidable(
-    h: Hypergraph,
-    budget: int = DEFAULT_BUDGET,
-    order_strategy: str = "connectivity",
-) -> Verdict:
-    """Certify that every coloring has a monochromatic or rainbow edge.
-
-    Thin wrapper over :func:`find_good_coloring`: ``PROPERTY_HOLDS`` means
-    the hypergraph has the property, ``WITNESS_FOUND`` carries the good
-    coloring disproving it.
-    """
-    return find_good_coloring(h, budget, order_strategy)
+    if verdict.coloring is not None and not coloring_is_good(h, verdict.coloring):
+        raise AssertionError("solver produced a coloring that fails re-verification")
+    return verdict
 
 
 def find_part_rainbow_bad(
@@ -392,7 +362,7 @@ def find_part_rainbow_bad(
     i.e. the partite hypergraph is part-rainbow-forced.  Colors may repeat
     across different parts.
     """
-    status, raw, nodes = _backtrack(
+    verdict = _backtrack(
         p.base,
         forbid_mono=False,
         forbid_rainbow=True,
@@ -400,22 +370,9 @@ def find_part_rainbow_bad(
         budget=budget,
         order_strategy=order_strategy,
     )
-    if status is VerdictStatus.WITNESS_FOUND:
-        assert raw is not None
-        coloring = Coloring.from_assignment(p.base, raw)
-        if has_rainbow_edge(p.base, coloring) or not is_part_rainbow(p, coloring):
-            raise AssertionError("solver produced a coloring that fails re-verification")
-        return Verdict.witness(coloring, nodes)
-    if status is VerdictStatus.PROPERTY_HOLDS:
-        return Verdict.holds(nodes)
-    return Verdict.budget_exceeded(nodes)
-
-
-def verify_part_rainbow_forced(
-    p: PartiteHypergraph,
-    budget: int = DEFAULT_BUDGET,
-    order_strategy: str = "connectivity",
-) -> Verdict:
-    """Alias of :func:`find_part_rainbow_bad` named for the property it
-    certifies when the verdict is ``PROPERTY_HOLDS``."""
-    return find_part_rainbow_bad(p, budget, order_strategy)
+    coloring = verdict.coloring
+    if coloring is not None and (
+        has_rainbow_edge(p.base, coloring) or not is_part_rainbow(p, coloring)
+    ):
+        raise AssertionError("solver produced a coloring that fails re-verification")
+    return verdict

@@ -3,10 +3,16 @@
 The building blocks: attaching a private marker vertex to every edge (raising
 uniformity by one), amalgamation of a partite hypergraph along one part using
 a base hypergraph, complete partite factors, and a supplier of uniform
-hypergraphs with prescribed minimum degree and girth.  Builders are
-estimate-first: the recursions explode combinatorially, so predicted sizes
-are checked against hard limits before anything is materialised, and every
-step re-verifies its structural postconditions so corrupted inputs fail fast.
+hypergraphs with prescribed minimum degree and girth.
+
+Each recursion is written once, as steps that pair a block's cardinality
+identity with its builder, and evaluated two ways: over sizes (exact integers,
+or an astronomical marker past ``SIZE_CAP``) for the estimates, and over
+hypergraphs for the builders.  Builders are estimate-first: both refuse
+before they materialise anything when the estimate exceeds the hard limits,
+and check each step's predicted size against the limits before taking it.
+Blocks and builders re-verify their structural postconditions so corrupted
+inputs fail fast.
 
 All construction operations relabel their output onto integer vertex ids
 0..n-1 with a deterministic layout and return the relabelling maps.
@@ -17,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     Hypergraph,
@@ -77,6 +83,13 @@ class SizeLimitError(RuntimeError):
         self.estimate = estimate
 
 
+class _Astronomical(SizeLimitError):
+    """A predicted size passed SIZE_CAP; the note says where."""
+
+    def __init__(self, note: str):
+        super().__init__(note, SizeEstimate(None, None, True, False, note))
+
+
 class SupplierError(RuntimeError):
     """The min-degree/high-girth supplier ran out of retries."""
 
@@ -95,6 +108,81 @@ class TraceNode:
             "info": self.info,
             "children": [c.to_dict() for c in self.children],
         }
+
+
+# ---------------------------------------------------------------------------
+# Cardinality identities (pure arithmetic; inputs are hypergraphs or _Size)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Size:
+    """The cardinalities of a hypergraph, read like one; ``exact`` is False
+    for lower bounds."""
+
+    num_vertices: int
+    num_edges: int
+    parts: tuple[int, ...] = ()
+    exact: bool = True
+
+    def part_sizes(self) -> tuple[int, ...]:
+        return self.parts
+
+    @property
+    def base(self) -> "_Size":
+        return self
+
+
+def _marked_size(p: Any) -> _Size:
+    """attach_edge_markers: one new vertex per edge, all in one new part."""
+    return _Size(p.num_vertices + p.num_edges, p.num_edges, (*p.part_sizes(), p.num_edges))
+
+
+def _amalgam_size(h: Any, j: int, f: Any) -> _Size:
+    """amalgamate along part j: one copy of h per edge of f, with part j
+    identified with f's vertex set."""
+    parts = [f.num_edges * s for s in h.part_sizes()]
+    parts[j] = f.num_vertices
+    return _Size(
+        f.num_edges * (h.num_vertices - h.part_sizes()[j]) + f.num_vertices,
+        f.num_edges * h.num_edges,
+        tuple(parts),
+    )
+
+
+def _factor_size(p: Any, a: int) -> _Size:
+    """complete_partite_factor: C(a, r) copies of p.  Copy part k lands in
+    part t for the C(t, k) * C(a-1-t, r-1-k) subsets whose k-th smallest is t."""
+    sizes = p.part_sizes()
+    r = len(sizes)
+    parts = tuple(
+        sum(comb(t, k) * comb(a - 1 - t, r - 1 - k) * s for k, s in enumerate(sizes))
+        for t in range(a)
+    )
+    return _Size(comb(a, r) * p.num_vertices, comb(a, r) * p.num_edges, parts)
+
+
+def _complete_size(n: int, r: int) -> _Size:
+    """complete_hypergraph(n, r), without computing C(n, r) past SIZE_CAP."""
+    digits = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
+    if digits > math.log10(SIZE_CAP):
+        raise _Astronomical(f"complete base alone has ~10^{digits:.0f} edges")
+    return _Size(n, comb(n, r))
+
+
+def _supplier_size(ell: int, g: int, q: int) -> _Size:
+    """supply_min_degree_girth: exact for the K_{q+1} shortcut (ell = 2,
+    g <= 3); otherwise the random route's starting vertex count with the
+    degree-sum lower bound on edges."""
+    if ell == 2 and g <= 3:
+        return _Size(q + 1, comb(q + 1, 2))
+    if g == 2:
+        n = max(2 * ell, q + ell)
+    else:
+        # girth >= 3 means any two edges share at most one vertex, which
+        # forces n >= q*(ell-1) + 1 around a max-degree vertex
+        n = max(2 * ell, q * (ell - 1) + 1)
+    return _Size(n, -(-q * n // ell), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +262,9 @@ def amalgamate(
     result = PartiteHypergraph(Hypergraph(range(fresh), edges), parts)
 
     # cardinality identities (fail fast on corrupted inputs)
-    if result.num_edges != f.num_edges * h.num_edges:
-        raise AssertionError("amalgamation lost or duplicated edges")
-    for j in range(h.num_parts):
-        expected = nf if j == part_index else f.num_edges * len(h.part(j))
-        if len(result.part(j)) != expected:
-            raise AssertionError(f"amalgamation part {j} has the wrong size")
+    actual = _Size(result.num_vertices, result.num_edges, result.part_sizes())
+    if _amalgam_size(h, part_index, f) != actual:
+        raise AssertionError("amalgamation broke its cardinality identities")
     return result, tuple(copy_maps)
 
 
@@ -211,8 +296,9 @@ def complete_partite_factor(
             parts[target].extend(cmap[v] for v in f.part(k))
         offset += nf
     result = PartiteHypergraph(Hypergraph(range(offset), edges), parts)
-    if result.num_edges != comb(num_parts, r) * f.num_edges:
-        raise AssertionError("partite factor lost or duplicated edges")
+    actual = _Size(result.num_vertices, result.num_edges, result.part_sizes())
+    if _factor_size(f, num_parts) != actual:
+        raise AssertionError("partite factor broke its cardinality identities")
     return result, tuple(copy_maps)
 
 
@@ -233,18 +319,13 @@ def supply_min_degree_girth(
         raise ValueError(f"minimum degree must be >= 1, got {q}")
     params = params or ConstructionParams()
 
-    if ell == 2 and g <= 3:
-        return complete_hypergraph(q + 1, 2)
+    start = _supplier_size(ell, g, q)
+    if start.exact:
+        return complete_hypergraph(start.num_vertices, 2)
 
     from .randgen import derive_seed, random_high_girth
 
-    if g == 2:
-        n0 = max(2 * ell, q + ell)
-    else:
-        # girth >= 3 means any two edges share at most one vertex, which
-        # forces n >= q*(ell-1) + 1 around a max-degree vertex
-        n0 = max(2 * ell, q * (ell - 1) + 1)
-    n = n0
+    n = start.num_vertices
     for attempt in range(params.supplier_tries):
         if n > params.limits.max_vertices:
             raise SupplierError(
@@ -275,117 +356,142 @@ def supply_min_degree_girth(
 
 
 # ---------------------------------------------------------------------------
-# Size estimation (pure arithmetic over the recursions)
+# The recursions, evaluated over sizes (estimates) or hypergraphs (builders)
 # ---------------------------------------------------------------------------
 
 
-def _supplier_numbers(ell: int, g: int, q: int) -> tuple[int, int, bool]:
-    """(vertices, edges, exact) for the supplier's output.
+class _Sizes:
+    """Evaluates a recursion over cardinalities: every step returns its
+    predicted size, and one past SIZE_CAP ends the evaluation."""
 
-    Exact for the deterministic shortcut; otherwise a lower bound from the
-    degree sum plus, for girth >= 3, the linearity packing bound.
-    """
-    if ell == 2 and g <= 3:
-        n = q + 1
-        return n, comb(n, 2), True
-    n = max(2 * ell, q + ell) if g == 2 else max(2 * ell, q * (ell - 1) + 1)
-    e = -(-q * n // ell)
-    return n, e, False
+    def __init__(self, params: ConstructionParams | None = None) -> None:
+        self.params = params
+        self.exact = True
+        self.note = ""
+
+    def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
+        if not size.exact:
+            self.exact = False
+            lower_bounds = "supplier sizes are lower bounds; actual sizes may be far larger"
+            self.note = self.note or lower_bounds
+        if size.num_vertices > SIZE_CAP or size.num_edges > SIZE_CAP:
+            raise _Astronomical(f"exceeds {SIZE_CAP:.0e} at {where}")
+        return size
 
 
-def _pr_numbers(r: int, g: int) -> tuple[int | None, int | None, list[int], bool, str]:
-    """(vertices, edges, part sizes, exact, note) for the rainbow-forcing
-    recursion; vertices None marks an astronomical blow-up."""
-    verts, nedges = 3, 2
-    parts = [2, 1]
-    exact = True
-    note = ""
+class _Build(_Sizes):
+    """Evaluates a recursion over hypergraphs, refusing each step whose
+    predicted size exceeds the limits (if any) before taking it."""
+
+    def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
+        if self.params is not None:
+            predicted = SizeEstimate(size.num_vertices, size.num_edges, False, size.exact)
+            _refuse_beyond(predicted, where, self.params.limits)
+        return build()
+
+
+def _refuse_beyond(estimate: SizeEstimate, what: str, limits: BuildLimits) -> None:
+    if not estimate.within(limits):
+        note = f": {estimate.note}" if estimate.note else ""
+        raise SizeLimitError(
+            f"{what} exceeds the limits ({limits.max_vertices} vertices / "
+            f"{limits.max_edges} edges){note}",
+            estimate,
+        )
+
+
+def _shape_info(x: Any) -> dict:
+    return {"vertices": x.num_vertices, "edges": x.num_edges, "part_sizes": list(x.part_sizes())}
+
+
+def _pr_recursion(r: int, g: int, ops: _Sizes) -> Any:
+    """The recursion of :func:`build_part_rainbow_forced`."""
+    pr: Any = base_rainbow_path()
     for k in range(2, r):
-        ell = nedges
+        where = f"uniformity {k + 1}"
+        ell = pr.num_edges
         q = ell * (k + 1)
-        sn, se, s_exact = _supplier_numbers(ell, g, q)
-        exact = exact and s_exact
-        if not s_exact:
-            note = "supplier sizes are lower bounds; actual sizes may be far larger"
-        tilde_verts = verts + ell
-        verts = se * (tilde_verts - ell) + sn
-        nedges = se * ell
-        parts = [se * s for s in parts] + [sn]
-        if verts > SIZE_CAP or nedges > SIZE_CAP:
-            return None, None, [], exact, f"exceeds {SIZE_CAP:.0e} at uniformity {k + 1}"
-    return verts, nedges, parts, exact, note
+        tilde = ops.step(_marked_size(pr), where, lambda: attach_edge_markers(pr)[0])
+        base = ops.step(
+            _supplier_size(ell, g, q), where,
+            lambda: supply_min_degree_girth(ell, g, q, ops.params),
+        )
+        pr = ops.step(_amalgam_size(tilde, k, base), where, lambda: amalgamate(tilde, k, base)[0])
+    return pr
+
+
+def _sweep(
+    ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: TraceNode | None
+) -> Any:
+    current = start
+    for j in range(len(start.part_sizes())):
+        size = current.part_sizes()[j]
+        base = base_for_part(j, size)
+        current = ops.step(
+            _amalgam_size(current, j, base), f"sweep step {j + 1}",
+            lambda: amalgamate(current, j, base)[0],
+        )
+        if trace is not None:
+            info = {"part": j, "part_size": size, "copies": base.num_edges, **_shape_info(current)}
+            trace.children.append(TraceNode("amalgamate", info))
+    return current
+
+
+def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, TraceNode]:
+    """The recursion of :func:`build_rm_unavoidable`, with its trace."""
+    trace = TraceNode("build_rm_unavoidable", {"r": r, "g": g})
+    if g == 2 or r == 2:  # for r = 2 the base is one edge: acyclic, so of any girth
+        n = (r - 1) ** 2 + 1
+        result = ops.step(_complete_size(n, r), "complete base", lambda: complete_hypergraph(n, r))
+        info = {"vertices": result.num_vertices, "edges": result.num_edges}
+        if g > 2:
+            info["note"] = "base case already meets the girth target"
+            ops.note = ops.note or info["note"]
+        trace.children.append(TraceNode("complete_base", info))
+    else:
+        a = (r - 1) ** 2 + r
+        pr = _pr_recursion(r, g, ops)
+        factor = ops.step(
+            _factor_size(pr, a), "complete partite factor",
+            lambda: complete_partite_factor(pr, a)[0],
+        )
+        info = {"parts": a, "copies": comb(a, r), **_shape_info(factor)}
+        trace.children.append(TraceNode("complete_partite_factor", info))
+        sub = lambda j, size: _h_recursion(size, g - 1, ops)[0]
+        result = _sweep(ops, factor, sub, trace).base
+    trace.info.update(vertices=result.num_vertices, edges=result.num_edges)
+    return result, trace
+
+
+def _estimate(r: int, g: int, recursion: Callable[[_Sizes], Any]) -> SizeEstimate:
+    validate_uniformity(r)
+    if g < 2:
+        raise ValueError(f"girth target must be >= 2, got {g}")
+    sizes = _Sizes()
+    try:
+        result = recursion(sizes)
+    except _Astronomical as exc:
+        return SizeEstimate(None, None, True, sizes.exact, exc.estimate.note)
+    return SizeEstimate(result.num_vertices, result.num_edges, False, sizes.exact, sizes.note)
+
+
+def _verify(h: Hypergraph, r: int, g: int, params: ConstructionParams) -> None:
+    if not h.is_uniform(r):
+        raise AssertionError("recursion produced a non-uniform hypergraph")
+    # every hypergraph has girth >= 2
+    if g > 2 and params.verify and h.num_vertices <= params.verify_vertex_limit:
+        if not girth(h, cap=g).girth.guarantees_at_least(g):
+            raise AssertionError(f"construction failed its girth >= {g} postcondition")
 
 
 def estimate_pr_size(r: int, g: int) -> SizeEstimate:
     """Predicted size of the part-rainbow-forced construction."""
-    validate_uniformity(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
-    verts, nedges, _, exact, note = _pr_numbers(r, g)
-    if verts is None:
-        return SizeEstimate(None, None, True, exact, note)
-    return SizeEstimate(verts, nedges, False, exact, note)
-
-
-def _log10_comb(n: int, k: int) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10)
-
-
-def _h_numbers(r: int, g: int) -> tuple[int | None, int | None, bool, str]:
-    base_verts = (r - 1) ** 2 + 1
-    if g == 2:
-        if _log10_comb(base_verts, r) > 15:
-            return None, None, True, f"complete base alone has ~10^{_log10_comb(base_verts, r):.0f} edges"
-        return base_verts, comb(base_verts, r), True, ""
-    if r == 2:
-        # base case K_2 is acyclic, so it already meets any girth target
-        return 2, 1, True, "base case already meets the girth target"
-    pr_v, pr_e, pr_parts, exact, note = _pr_numbers(r, g)
-    if pr_v is None:
-        return None, None, exact, note
-    a = (r - 1) ** 2 + r
-    copies = comb(a, r)
-    verts = copies * pr_v
-    nedges = copies * pr_e
-    # part p collects the copy part matching p's rank within each r-subset
-    parts = [0] * a
-    for subset in combinations(range(a), r):
-        for k, p in enumerate(subset):
-            parts[p] += pr_parts[k]
-    for j in range(a):
-        pj = parts[j]
-        hv, he, h_exact, h_note = _h_numbers(pj, g - 1)
-        exact = exact and h_exact
-        if hv is None:
-            return None, None, exact, h_note or note
-        if he > SIZE_CAP or he * nedges > SIZE_CAP:
-            hint = ""
-            if g - 1 == 2:
-                hint = f" (sweep step {j + 1} amalgamates with ~10^{_log10_comb((pj - 1) ** 2 + 1, pj):.0f} copies)"
-            return None, None, exact, f"exceeds {SIZE_CAP:.0e} at sweep step {j + 1}{hint}"
-        verts = he * (verts - pj) + hv
-        nedges = he * nedges
-        parts = [he * s for s in parts]
-        parts[j] = hv
-        if verts > SIZE_CAP or nedges > SIZE_CAP:
-            return None, None, exact, f"exceeds {SIZE_CAP:.0e} at sweep step {j + 1}"
-    return verts, nedges, exact, note
+    return _estimate(r, g, lambda ops: _pr_recursion(r, g, ops))
 
 
 def estimate_h_size(r: int, g: int) -> SizeEstimate:
     """Predicted size of the rm-unavoidable construction."""
-    validate_uniformity(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
-    verts, nedges, exact, note = _h_numbers(r, g)
-    if verts is None:
-        return SizeEstimate(None, None, True, exact, note)
-    return SizeEstimate(verts, nedges, False, exact, note)
-
-
-# ---------------------------------------------------------------------------
-# Top-level builders
-# ---------------------------------------------------------------------------
+    return _estimate(r, g, lambda ops: _h_recursion(r, g, ops)[0])
 
 
 def base_rainbow_path() -> PartiteHypergraph:
@@ -401,47 +507,14 @@ def build_part_rainbow_forced(
     Base: the path on three vertices.  Step k -> k+1: attach edge markers,
     then amalgamate along the new part using a supplier hypergraph whose
     uniformity is the edge count and whose minimum degree is edge count times
-    (k+1).  Estimate-first: refuses with a SizeLimitError when predicted
-    sizes exceed the limits.
+    (k+1).  Estimate-first: refuses with a SizeLimitError, before building
+    anything, when the predicted size exceeds the limits.
     """
-    validate_uniformity(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
     params = params or ConstructionParams()
-    pr = base_rainbow_path()
-    for k in range(2, r):
-        ell = pr.num_edges
-        q = ell * (k + 1)
-        sn, se, s_exact = _supplier_numbers(ell, g, q)
-        tilde, _, _ = attach_edge_markers(pr)
-        predicted = SizeEstimate(
-            se * (tilde.num_vertices - ell) + sn, se * ell, False, s_exact
-        )
-        if not predicted.within(params.limits):
-            raise SizeLimitError(
-                f"uniformity step {k + 1} predicts >= {predicted.vertices} vertices / "
-                f"{predicted.edges} edges, above limits "
-                f"({params.limits.max_vertices} / {params.limits.max_edges})",
-                predicted,
-            )
-        base = supply_min_degree_girth(ell, g, q, params)
-        actual = SizeEstimate(
-            base.num_edges * (tilde.num_vertices - ell) + base.num_vertices,
-            base.num_edges * ell,
-            False,
-            True,
-        )
-        if not actual.within(params.limits):
-            raise SizeLimitError(
-                f"supplier output would give {actual.vertices} vertices, above limits",
-                actual,
-            )
-        pr, _ = amalgamate(tilde, k, base)
-        if not pr.base.is_uniform(k + 1) or pr.num_parts != k + 1:
-            raise AssertionError("amalgamation step broke uniformity or partiteness")
-    if params.verify and pr.num_vertices <= params.verify_vertex_limit:
-        if not girth(pr.base, cap=g).girth.guarantees_at_least(g):
-            raise AssertionError(f"construction failed its girth >= {g} postcondition")
+    what = f"part-rainbow-forced recursion for r={r}, g={g}"
+    _refuse_beyond(estimate_pr_size(r, g), what, params.limits)
+    pr = _pr_recursion(r, g, _Build(params))
+    _verify(pr.base, r, g, params)
     return pr
 
 
@@ -454,28 +527,9 @@ def amalgamation_sweep(
 
     ``base_for_part(j, size)`` supplies the hypergraph used at step j, which
     must be ``size``-uniform.  This is the inner loop of the rm-unavoidable
-    recursion, factored out so it can be exercised with stand-in bases.
+    recursion, exposed so it can be exercised with stand-in bases.
     """
-    current = start
-    for j in range(start.num_parts):
-        size = len(current.part(j))
-        base = base_for_part(j, size)
-        current, _ = amalgamate(current, j, base)
-        if trace is not None:
-            trace.children.append(
-                TraceNode(
-                    "amalgamate",
-                    {
-                        "part": j,
-                        "part_size": size,
-                        "copies": base.num_edges,
-                        "vertices": current.num_vertices,
-                        "edges": current.num_edges,
-                        "part_sizes": list(current.part_sizes()),
-                    },
-                )
-            )
-    return current
+    return _sweep(_Build(), start, base_for_part, trace)
 
 
 def build_rm_unavoidable(
@@ -490,70 +544,12 @@ def build_rm_unavoidable(
     only to amplify girth.  Otherwise the recursion takes a complete partite
     factor of the rainbow-forcing construction and amalgamates along each
     part with a recursively built hypergraph whose uniformity is that part's
-    size; its sizes are astronomical, so it is refused estimate-first.
+    size.  Estimate-first, like :func:`build_part_rainbow_forced`; beyond the
+    base cases the sizes are astronomical.
     """
-    validate_uniformity(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
     params = params or ConstructionParams()
-
-    base_n = (r - 1) ** 2 + 1
-    base = complete_hypergraph(base_n, r)
-    trace = TraceNode(
-        "build_rm_unavoidable",
-        {"r": r, "g": g, "vertices": base.num_vertices, "edges": base.num_edges},
-    )
-    if g == 2:
-        trace.children.append(
-            TraceNode("complete_base", {"vertices": base.num_vertices, "edges": base.num_edges})
-        )
-        return base, trace
-    if girth(base, cap=g).girth.guarantees_at_least(g):
-        trace.children.append(
-            TraceNode(
-                "complete_base",
-                {
-                    "vertices": base.num_vertices,
-                    "edges": base.num_edges,
-                    "note": "base case already meets the girth target",
-                },
-            )
-        )
-        return base, trace
-
-    estimate = estimate_h_size(r, g)
-    if not estimate.within(params.limits):
-        size = "astronomical" if estimate.astronomical else f"{estimate.vertices} vertices"
-        raise SizeLimitError(
-            f"rm-unavoidable recursion for r={r}, g={g} predicts {size} "
-            f"({estimate.note or 'above limits'})",
-            estimate,
-        )
-
-    pr = build_part_rainbow_forced(r, g, params)
-    a = (r - 1) ** 2 + r
-    factor, _ = complete_partite_factor(pr, a)
-    trace.children.append(
-        TraceNode(
-            "complete_partite_factor",
-            {
-                "parts": a,
-                "copies": comb(a, r),
-                "vertices": factor.num_vertices,
-                "edges": factor.num_edges,
-                "part_sizes": list(factor.part_sizes()),
-            },
-        )
-    )
-    result = amalgamation_sweep(
-        factor, lambda j, size: build_rm_unavoidable(size, g - 1, params)[0], trace
-    )
-    final = result.base
-    if not final.is_uniform(r):
-        raise AssertionError("recursion produced a non-uniform hypergraph")
-    if params.verify and final.num_vertices <= params.verify_vertex_limit:
-        if not girth(final, cap=g).girth.guarantees_at_least(g):
-            raise AssertionError(f"construction failed its girth >= {g} postcondition")
-    trace.info["vertices"] = final.num_vertices
-    trace.info["edges"] = final.num_edges
+    what = f"rm-unavoidable recursion for r={r}, g={g}"
+    _refuse_beyond(estimate_h_size(r, g), what, params.limits)
+    final, trace = _h_recursion(r, g, _Build(params))
+    _verify(final, r, g, params)
     return final, trace

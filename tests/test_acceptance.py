@@ -15,7 +15,6 @@ from rmhyper.coloring import (
     enumerate_partitions,
     find_good_coloring,
     find_part_rainbow_bad,
-    verify_rm_unavoidable,
 )
 from rmhyper.core import Hypergraph, complete_hypergraph
 from rmhyper.construct import (
@@ -226,7 +225,7 @@ def test_criterion_11_graphs_always_unavoidable():
     ok = True
     for _ in range(100):
         g = random_graph(rng, require_edge=True)
-        ok &= verify_rm_unavoidable(g).status is VerdictStatus.PROPERTY_HOLDS
+        ok &= find_good_coloring(g).status is VerdictStatus.PROPERTY_HOLDS
     report(11, "100 random nonempty graphs are rm-unavoidable", ok, time.time() - t0, 5)
 
 
@@ -235,6 +234,6 @@ def test_criterion_12_end_to_end_two_uniform_girth_three():
     h, trace = build_rm_unavoidable(2, 3)
     ok = h.is_uniform(2)
     ok &= girth(h, cap=3).girth.guarantees_at_least(3)
-    ok &= verify_rm_unavoidable(h).status is VerdictStatus.PROPERTY_HOLDS
+    ok &= find_good_coloring(h).status is VerdictStatus.PROPERTY_HOLDS
     ok &= trace.info["r"] == 2 and trace.info["g"] == 3
     report(12, "2-uniform girth-3 instance builds and certifies end to end", ok, time.time() - t0, 300)

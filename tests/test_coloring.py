@@ -16,8 +16,6 @@ from rmhyper.coloring import (
     has_rainbow_edge,
     is_part_rainbow,
     search_order,
-    verify_part_rainbow_forced,
-    verify_rm_unavoidable,
 )
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 
@@ -102,7 +100,7 @@ class TestFindGoodColoring:
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng)
-            assert verify_rm_unavoidable(g).status is VerdictStatus.PROPERTY_HOLDS
+            assert find_good_coloring(g).status is VerdictStatus.PROPERTY_HOLDS
 
     def test_complete_three_uniform_on_five_holds(self):
         v = find_good_coloring(complete_hypergraph(5, 3))
@@ -200,7 +198,7 @@ class TestPartRainbow:
 
     def test_verify_alias(self):
         assert (
-            verify_part_rainbow_forced(rainbow_path()).status
+            find_part_rainbow_bad(rainbow_path()).status
             is VerdictStatus.PROPERTY_HOLDS
         )
 

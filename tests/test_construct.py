@@ -1,12 +1,16 @@
+import hashlib
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from rmhyper.coloring import VerdictStatus, verify_rm_unavoidable
+from rmhyper import construct
+from rmhyper.coloring import VerdictStatus, find_good_coloring, find_part_rainbow_bad
 from rmhyper.construct import (
     BuildLimits,
     ConstructionParams,
+    SizeEstimate,
     SizeLimitError,
     SupplierError,
     TraceNode,
@@ -22,9 +26,14 @@ from rmhyper.construct import (
     supply_min_degree_girth,
 )
 from rmhyper.core import Hypergraph, HypergraphError, PartiteHypergraph, complete_hypergraph
+from rmhyper.formats import dumps
 from rmhyper.girth import girth
 
 from oracles import random_partite
+
+
+def _unreachable(*args):
+    raise AssertionError("reached before the refusal")
 
 
 class TestAttachEdgeMarkers:
@@ -217,11 +226,9 @@ class TestBuildPartRainbowForced:
         assert girth(pr.base, cap=5).girth.kind == "infinite"
 
     def test_base_forced_for_every_girth_target(self):
-        from rmhyper.coloring import verify_part_rainbow_forced
-
         for g in (2, 3, 7):
             pr = build_part_rainbow_forced(2, g)
-            assert verify_part_rainbow_forced(pr).status is VerdictStatus.PROPERTY_HOLDS
+            assert find_part_rainbow_bad(pr).status is VerdictStatus.PROPERTY_HOLDS
 
     def test_three_uniform_instance(self):
         pr = build_part_rainbow_forced(3, 3)
@@ -236,6 +243,23 @@ class TestBuildPartRainbowForced:
             build_part_rainbow_forced(4, 3)
         est = err.value.estimate
         assert est.vertices is None or est.vertices > BuildLimits().max_vertices
+
+    def test_refused_before_any_step_is_built(self, monkeypatch):
+        monkeypatch.setattr(construct, "amalgamate", _unreachable)
+        with pytest.raises(SizeLimitError):
+            build_part_rainbow_forced(4, 3)
+
+    def test_step_beyond_limits_is_refused_before_it_is_built(self, monkeypatch):
+        # the estimate for (3, 4) is a lower bound of 70 vertices; a supplier
+        # output larger than that bound pushes the amalgamation step past
+        # the limits, which the step must notice before amalgamating
+        supply = lambda *args: complete_hypergraph(9, 2)  # min degree 8 >= q = 6
+        monkeypatch.setattr(construct, "supply_min_degree_girth", supply)
+        monkeypatch.setattr(construct, "amalgamate", _unreachable)
+        params = ConstructionParams(limits=BuildLimits(max_vertices=100, max_edges=100))
+        with pytest.raises(SizeLimitError) as err:
+            build_part_rainbow_forced(3, 4, params)
+        assert (err.value.estimate.vertices, err.value.estimate.edges) == (117, 72)
 
     def test_estimates(self):
         assert estimate_pr_size(2, 7).vertices == 3
@@ -267,8 +291,28 @@ class TestBuildRmUnavoidable:
     def test_desk_scale_instances_are_unavoidable(self):
         for r, g in [(2, 2), (3, 2), (2, 3), (4, 2)]:
             h, _ = build_rm_unavoidable(r, g)
-            assert verify_rm_unavoidable(h).status is VerdictStatus.PROPERTY_HOLDS
+            assert find_good_coloring(h).status is VerdictStatus.PROPERTY_HOLDS
             assert girth(h, cap=g).girth.guarantees_at_least(g)
+
+    def test_complete_base_beyond_limits_is_refused(self):
+        params = ConstructionParams(limits=BuildLimits(max_vertices=10, max_edges=50))
+        with pytest.raises(SizeLimitError) as err:
+            build_rm_unavoidable(5, 2, params)
+        est = err.value.estimate
+        assert (est.vertices, est.edges, est.astronomical) == (17, 6188, False)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_refused_before_any_complete_base_is_built(self, monkeypatch, g):
+        real = construct.complete_hypergraph
+
+        def guarded(n, r):
+            if comb(n, r) > 500_000:
+                raise AssertionError(f"complete_hypergraph({n}, {r}) reached")
+            return real(n, r)
+
+        monkeypatch.setattr(construct, "complete_hypergraph", guarded)
+        with pytest.raises(SizeLimitError):
+            build_rm_unavoidable(7, g)
 
     def test_three_uniform_girth_three_is_astronomical(self):
         with pytest.raises(SizeLimitError) as err:
@@ -310,3 +354,70 @@ class TestAmalgamationSweep:
         # every part ends identified with its stand-in base's vertex set
         dump = trace.to_dict()
         assert [c["op"] for c in dump["children"]] == ["amalgamate"] * 3
+
+
+def _base_trace(r, g, vertices, edges, **note):
+    info = {"vertices": vertices, "edges": edges, **note}
+    return {
+        "op": "build_rm_unavoidable",
+        "info": {"r": r, "g": g, "vertices": vertices, "edges": edges},
+        "children": [{"op": "complete_base", "info": info, "children": []}],
+    }
+
+
+LOWER_BOUNDS = "supplier sizes are lower bounds; actual sizes may be far larger"
+
+# (kind, r, g, estimate, SHA-256 prefix of the build's JSON or None when not
+# built, trace of the h build); pr(3, 4) is seeded, so only its estimate is pinned
+PINNED = [
+    ("pr", 2, 2, SizeEstimate(3, 2, False, True, ""), "30ed48e99adc8ad2", None),
+    ("pr", 3, 3, SizeEstimate(70, 42, False, True, ""), "cd1923c8c231c78b", None),
+    ("pr", 3, 4, SizeEstimate(70, 42, False, False, LOWER_BOUNDS), None, None),
+    ("pr", 4, 2, SizeEstimate(59010, 35280, False, False, LOWER_BOUNDS), None, None),
+    ("pr", 4, 3, SizeEstimate(1935809, 1157352, False, False, LOWER_BOUNDS), None, None),
+    ("pr", 5, 3, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
+    ("h", 2, 2, SizeEstimate(2, 1, False, True, ""), "88b300742a85db2a", _base_trace(2, 2, 2, 1)),
+    (
+        "h", 2, 3,
+        SizeEstimate(2, 1, False, True, "base case already meets the girth target"),
+        "88b300742a85db2a",
+        _base_trace(2, 3, 2, 1, note="base case already meets the girth target"),
+    ),
+    ("h", 3, 2, SizeEstimate(5, 10, False, True, ""), "4235cc8dbf1bbc1d", _base_trace(3, 2, 5, 10)),
+    ("h", 4, 2, SizeEstimate(10, 210, False, True, ""), "d44c9bcde5e394ce", _base_trace(4, 2, 10, 210)),
+    ("h", 5, 2, SizeEstimate(17, 6188, False, True, ""), "baffc01633517317", _base_trace(5, 2, 17, 6188)),
+    (
+        "h", 3, 3,
+        SizeEstimate(None, None, True, True, "complete base alone has ~10^2034 edges"),
+        None, None,
+    ),
+    (
+        "h", 4, 3,
+        SizeEstimate(None, None, True, False, "complete base alone has ~10^2250864721 edges"),
+        None, None,
+    ),
+    (
+        "h", 12, 2,
+        SizeEstimate(None, None, True, True, "complete base alone has ~10^16 edges"),
+        None, None,
+    ),
+    ("h", 3, 4, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
+]
+
+
+@pytest.mark.parametrize("kind, r, g, estimate, digest, trace", PINNED)
+def test_pinned_outputs(kind, r, g, estimate, digest, trace):
+    estimator = estimate_pr_size if kind == "pr" else estimate_h_size
+    assert estimator(r, g) == estimate
+    if digest is None:
+        return
+    if kind == "pr":
+        built = build_part_rainbow_forced(r, g)
+        # the sizes evaluation of the recursion predicts every part
+        sizes = construct._pr_recursion(r, g, construct._Sizes())
+        assert sizes.part_sizes() == built.part_sizes()
+    else:
+        built, built_trace = build_rm_unavoidable(r, g)
+        assert built_trace.to_dict() == trace
+    assert hashlib.sha256(dumps(built).encode()).hexdigest()[:16] == digest
+    assert (estimate.vertices, estimate.edges) == (built.num_vertices, built.num_edges)

@@ -136,6 +136,15 @@ class TestCli:
         assert code == 4
         assert "refused" in captured.err
 
+    def test_size_limit_refuses_complete_base(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["construct", "h", "--r", "5", "--g", "2", "--max-edges", "50", "-o", str(out)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert any(line.startswith("refused:") for line in captured.err.splitlines())
+        assert not out.exists()
+
     def test_random_carrier_replay_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["random", "carrier", "--n", "12", "--R", "5", "--g", "3", "--seed", "9"]

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from rmhyper.coloring import VerdictStatus, verify_rm_unavoidable
+from rmhyper.coloring import VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.formats import dumps
 from rmhyper.girth import girth
@@ -199,7 +199,7 @@ class TestRandomSearch:
         h = out.hypergraph
         assert h.is_uniform(3)
         # independent re-verification of both certified properties
-        assert verify_rm_unavoidable(h).status is VerdictStatus.PROPERTY_HOLDS
+        assert find_good_coloring(h).status is VerdictStatus.PROPERTY_HOLDS
         assert girth(h, cap=2).girth.guarantees_at_least(2)
 
     def test_unfound_returns_hardest_attempt(self):
