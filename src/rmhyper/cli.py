@@ -9,6 +9,7 @@ three-valued verdicts so shell pipelines can branch on them:
 * 2 - budget or cap exceeded
 * 3 - bad input (files, formats, arguments)
 * 4 - size limit refusal / supplier failure
+* 5 - unexpected internal error (a crash is never reported as a verdict)
 
 Artifacts embed the full parameters under "meta", so rerunning the recorded
 command reproduces the file byte for byte.  Relative output paths are
@@ -52,6 +53,7 @@ EXIT_HOLDS = 1
 EXIT_BUDGET = 2
 EXIT_BAD_INPUT = 3
 EXIT_LIMIT = 4
+EXIT_ERROR = 5
 
 _VERDICT_EXIT = {
     VerdictStatus.WITNESS_FOUND: EXIT_WITNESS,
@@ -337,6 +339,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (HypergraphError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:  # any other exit code would read as a verdict
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main() -> None:

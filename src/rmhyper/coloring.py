@@ -6,11 +6,14 @@ vertex may open at most one new class).  Both target properties are invariant
 under renaming colors, so this collapses the n^n coloring space to
 Bell-number scale without losing completeness.
 
-Pruning while extending a partial coloring, applied to every edge whose last
-uncolored vertex is the one being assigned: if the colored vertices all share
-a class the vertex must avoid it (would become monochromatic), and if they
-are pairwise distinct the vertex must reuse one of them (would become
-rainbow).  Only the rules matching the forbidden edge kinds are active.
+Vertices are colored in a static order (``search_order``), so at depth d
+exactly the first d vertices of that order are colored.  Each edge is checked
+once, when its closing vertex (its last vertex in the order) is assigned: if
+the edge's other vertices all share a class the closing vertex must avoid it
+(would become monochromatic), and if they are pairwise distinct it must reuse
+one of them (would become rainbow).  Only the rules matching the forbidden
+edge kinds are active.  The search is one loop over an explicit stack, so its
+depth has no recursion limit.
 """
 from __future__ import annotations
 
@@ -166,10 +169,6 @@ def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_VERTICES) -> Iterato
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def search_order(h: Hypergraph, strategy: str = "connectivity") -> list[int]:
     """Static vertex order for the solver, as canonical vertex positions.
 
@@ -224,105 +223,75 @@ def _backtrack(
     """The shared search; a witness comes back canonicalised, and each entry
     point re-verifies it against its own property."""
     n = h.num_vertices
-    edges = h.edge_index_tuples()
-    m = len(edges)
-    esize = [len(e) for e in edges]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for pos, key in enumerate(edges):
-        for vi in key:
-            incident[vi].append(pos)
-
-    group_of = [-1] * n
-    group_used: list[bytearray] = []
+    group_used: list[bytearray | None] = [None] * n  # per vertex: its group's used classes
     if groups is not None:
-        for gi, part in enumerate(groups):
-            group_used.append(bytearray(n + 1))
+        for part in groups:
+            used = bytearray(n + 1)
             for v in part:
-                group_of[h.index_of(v)] = gi
+                group_used[h.index_of(v)] = used
 
     order = search_order(h, order_strategy)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    # closes[v]: for each edge whose last vertex in `order` is v, its other vertices
+    closes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for key in h.edge_index_tuples():
+        last = max(key, key=position.__getitem__)
+        closes[last].append(tuple(u for u in key if u != last))
 
     color = [-1] * n
-    colored = [0] * m  # colored vertices per edge
-    distinct = [0] * m  # distinct classes per edge
-    first_class = [-1] * m  # class of the first-colored vertex on the edge
-    class_count = [bytearray(n + 1) for _ in range(m)]
-
+    pending: list[list[int]] = [[] for _ in range(n)]  # per depth: untried classes, next one last
+    used_before = [0] * n  # classes in use on entering each depth
     nodes = 0
     num_used = 0
-    out: Coloring | None = None
-
-    def dfs(depth: int) -> bool:
-        nonlocal nodes, num_used, out
-        if depth == n:
-            out = Coloring.from_assignment(h, {h.vertices[i]: color[i] for i in range(n)})
-            return True
-        v = order[depth]
-        gi = group_of[v]
-
-        forbidden: set[int] = set()
-        required: set[int] | None = None
-        for e in incident[v]:
-            if colored[e] != esize[e] - 1:
-                continue
-            if forbid_mono and distinct[e] == 1:
-                forbidden.add(first_class[e])
-            if forbid_rainbow and distinct[e] == colored[e]:
-                on_edge = {color[u] for u in edges[e] if color[u] >= 0}
-                required = on_edge if required is None else required & on_edge
-
-        upper = num_used + 1  # classes 0..num_used-1 plus one fresh class
-        if required is not None:
-            candidates = sorted(c for c in required if c < upper)
+    depth = 0
+    descending = True
+    while True:
+        if descending:
+            if depth == n:
+                coloring = Coloring.from_assignment(h, {h.vertices[i]: color[i] for i in range(n)})
+                return Verdict(VerdictStatus.WITNESS_FOUND, coloring, nodes)
+            v = order[depth]
+            forbidden: set[int] = set()
+            required: set[int] | None = None
+            for others in closes[v]:
+                on_edge = {color[u] for u in others}
+                if forbid_mono and len(on_edge) == 1:
+                    forbidden |= on_edge
+                if forbid_rainbow and len(on_edge) == len(others):
+                    required = on_edge if required is None else required & on_edge
+            gused = group_used[v]
+            pending[depth] = [
+                c
+                for c in (range(num_used, -1, -1) if required is None else sorted(required, reverse=True))
+                if c not in forbidden and not (gused is not None and gused[c])
+            ]
+            used_before[depth] = num_used
         else:
-            candidates = range(upper)
-        gused = group_used[gi] if gi >= 0 else None
-        for c in candidates:
-            if c in forbidden:
-                continue
-            if gused is not None and gused[c]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExhausted
-            opened = c == num_used
-            if opened:
-                num_used += 1
-            color[v] = c
-            for e in incident[v]:
-                cc = class_count[e]
-                cc[c] += 1
-                if cc[c] == 1:
-                    distinct[e] += 1
-                if colored[e] == 0:
-                    first_class[e] = c
-                colored[e] += 1
+            v = order[depth]
+            gused = group_used[v]
             if gused is not None:
-                gused[c] = 1
-
-            if dfs(depth + 1):
-                return True
-
-            if gused is not None:
-                gused[c] = 0
-            for e in incident[v]:
-                cc = class_count[e]
-                cc[c] -= 1
-                if cc[c] == 0:
-                    distinct[e] -= 1
-                colored[e] -= 1
-            color[v] = -1
-            if opened:
-                num_used -= 1
-        return False
-
-    try:
-        found = dfs(0)
-    except _BudgetExhausted:
-        return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
-    if found:
-        return Verdict(VerdictStatus.WITNESS_FOUND, out, nodes)
-    return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
+                gused[color[v]] = 0
+            num_used = used_before[depth]
+        todo = pending[depth]
+        if not todo:
+            if depth == 0:
+                return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
+            depth -= 1
+            descending = False
+            continue
+        c = todo.pop()
+        nodes += 1
+        if nodes > budget:
+            return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
+        color[v] = c
+        if c == num_used:
+            num_used += 1
+        if gused is not None:
+            gused[c] = 1
+        depth += 1
+        descending = True
 
 
 def find_good_coloring(

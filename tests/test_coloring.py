@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +19,7 @@ from rmhyper.coloring import (
     is_part_rainbow,
     search_order,
 )
+from rmhyper.construct import build_part_rainbow_forced, complete_partite_factor
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 
 from oracles import bell_number, exhaustive_good_verdict, random_graph, random_hypergraph
@@ -30,6 +33,44 @@ def rainbow_path():
     return PartiteHypergraph(
         Hypergraph(["x", "y", "z"], [{"x", "y"}, {"y", "z"}]), [("x", "z"), ("y",)]
     )
+
+
+def loose_path(n):
+    """3-uniform loose path on n (odd) vertices: consecutive triples share one vertex."""
+    return Hypergraph(range(n), [(i, i + 1, i + 2) for i in range(0, n - 2, 2)])
+
+
+def affine_plane_3():
+    """AG(2,3): the 12 lines of the 3x3 grid over GF(3)."""
+    lines = set()
+    for (x0, y0), (x1, y1) in combinations([(x, y) for x in range(3) for y in range(3)], 2):
+        dx, dy = (x1 - x0) % 3, (y1 - y0) % 3
+        lines.add(tuple(sorted(3 * ((x0 + k * dx) % 3) + (y0 + k * dy) % 3 for k in range(3))))
+    return Hypergraph(range(9), sorted(lines))
+
+
+def cyclic_sts_13():
+    """The cyclic Steiner triple system on Z_13, base blocks {0,1,4}, {0,2,7}."""
+    blocks = ((0, 1, 4), (0, 2, 7))
+    return Hypergraph(range(13), {tuple((b + i) % 13 for b in block) for block in blocks for i in range(13)})
+
+
+def projective_space_3_2():
+    """PG(3,2): points 1..15 as nonzero vectors of GF(2)^4, lines {a, b, a^b}."""
+    return Hypergraph(range(1, 16), {frozenset((a, b, a ^ b)) for a in range(1, 16) for b in range(a + 1, 16)})
+
+
+def linear_packing(n, seed):
+    """A maximal linear 3-uniform packing on 0..n-1 by seeded random greedy choice."""
+    triples = list(combinations(range(n), 3))
+    random.Random(seed).shuffle(triples)
+    covered, chosen = set(), []
+    for a, b, c in triples:
+        pairs = {(a, b), (a, c), (b, c)}
+        if not covered & pairs:
+            covered |= pairs
+            chosen.append((a, b, c))
+    return Hypergraph(range(n), chosen)
 
 
 class TestClassifyEdge:
@@ -174,6 +215,12 @@ class TestFindGoodColoring:
         with pytest.raises(ValueError):
             search_order(triple(), "alphabetical")
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        h = loose_path(1201)
+        v = find_good_coloring(h)
+        assert v.status is VerdictStatus.WITNESS_FOUND
+        assert v.nodes == 1201
+
 
 class TestPartRainbow:
     def test_rainbow_path_is_forced(self):
@@ -195,6 +242,13 @@ class TestPartRainbow:
         assert v.status is VerdictStatus.WITNESS_FOUND
         assert is_part_rainbow(p, v.coloring)
         assert not has_rainbow_edge(base, v.coloring)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        h = loose_path(1201)
+        p = PartiteHypergraph(h, [(v,) for v in h.vertices])
+        v = find_part_rainbow_bad(p)
+        assert v.status is VerdictStatus.WITNESS_FOUND
+        assert v.nodes == 1201
 
     def test_verify_alias(self):
         assert (
@@ -225,3 +279,49 @@ class TestPartRainbow:
                 assert got.status is VerdictStatus.PROPERTY_HOLDS
             else:
                 assert got.status is VerdictStatus.WITNESS_FOUND
+
+
+def _pinned_instance(name):
+    if name.startswith("packing"):
+        n, seed = name[len("packing"):].split("-")
+        return linear_packing(int(n), int(seed))
+    if name.startswith("pr(3,3)"):
+        pr = build_part_rainbow_forced(3, 3)
+        return complete_partite_factor(pr, 4)[0] if name.endswith("x4") else pr
+    return {"AG(2,3)": affine_plane_3, "STS(13)": cyclic_sts_13, "PG(3,2)": projective_space_3_2}[name]()
+
+
+# Status, node count and SHA-256 prefix of the canonical coloring (classes in
+# vertex order) per instance and order, recorded from the recursive search
+# this loop replaced: the search tree itself is pinned, not just the verdict.
+@pytest.mark.parametrize(
+    "name,strategy,status,nodes,coloring_digest",
+    [
+        ("AG(2,3)", "connectivity", "witness_found", 9, "25b8fcb31ea87885"),
+        ("AG(2,3)", "degree", "witness_found", 9, "25b8fcb31ea87885"),
+        ("STS(13)", "connectivity", "witness_found", 25, "8168b6c32f313bc8"),
+        ("STS(13)", "degree", "witness_found", 25, "8168b6c32f313bc8"),
+        ("PG(3,2)", "connectivity", "witness_found", 15, "152018b9ce7158e0"),
+        ("PG(3,2)", "degree", "witness_found", 15, "152018b9ce7158e0"),
+        ("packing19-1", "connectivity", "property_holds", 3667, None),
+        ("packing19-1", "degree", "property_holds", 5726, None),
+        ("packing21-2", "connectivity", "witness_found", 1905, "3ed35099f86ed8e8"),
+        ("packing21-2", "degree", "witness_found", 2817, "3ed35099f86ed8e8"),
+        ("packing22-3", "connectivity", "property_holds", 5032, None),
+        ("packing22-3", "degree", "property_holds", 8306, None),
+        ("pr(3,3)", "connectivity", "property_holds", 8674, None),
+        ("pr(3,3)x4", "connectivity", "property_holds", 8674, None),
+    ],
+)
+def test_pinned_search_tree(name, strategy, status, nodes, coloring_digest):
+    instance = _pinned_instance(name)
+    if isinstance(instance, PartiteHypergraph):
+        v = find_part_rainbow_bad(instance, order_strategy=strategy)
+    else:
+        v = find_good_coloring(instance, order_strategy=strategy)
+    assert (v.status.value, v.nodes) == (status, nodes)
+    if coloring_digest is None:
+        assert v.coloring is None
+    else:
+        classes = [v.coloring.assignment[x] for x in instance.vertices]
+        assert hashlib.sha256(repr(classes).encode()).hexdigest()[:16] == coloring_digest

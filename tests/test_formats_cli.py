@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rmhyper import cli
 from rmhyper.cli import run
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 from rmhyper.formats import (
@@ -215,6 +216,25 @@ class TestCli:
         assert run(["construct", "pr"]) == 3  # missing --r/--g
         assert run(["nonsense"]) == 3
         capsys.readouterr()
+
+    def test_deep_instance_is_solved(self, tmp_path, capsys):
+        # 3-uniform loose path on 1201 vertices: the search goes 1201 levels deep
+        path = Hypergraph(range(1201), [(i, i + 1, i + 2) for i in range(0, 1199, 2)])
+        f = tmp_path / "path.json"
+        f.write_text(dumps(path))
+        assert run(["solve", "good", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "witness_found"
+
+    def test_unexpected_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "find_good_coloring", crash)
+        f = tmp_path / "t.json"
+        f.write_text(dumps(Hypergraph([1, 2, 3], [[1, 2, 3]])))
+        assert run(["solve", "good", str(f)]) == cli.EXIT_ERROR == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "RuntimeError: solver blew up" in err
 
     def test_part_rainbow_needs_parts(self, tmp_path, capsys):
         f = tmp_path / "plain.json"
