@@ -6,17 +6,20 @@ vertex may open at most one new class).  Both target properties are invariant
 under renaming colors, so this collapses the n^n coloring space to
 Bell-number scale without losing completeness.
 
-Vertices are colored in a static order (``search_order``), so at depth d
-exactly the first d vertices of that order are colored.  Each edge is checked
-once, when its closing vertex (its last vertex in the order) is assigned: if
-the edge's other vertices all share a class the closing vertex must avoid it
-(would become monochromatic), and if they are pairwise distinct it must reuse
-one of them (would become rainbow).  Only the rules matching the forbidden
-edge kinds are active.  The search is one loop over an explicit stack, so its
-depth has no recursion limit.
+Vertices are colored in a static order (``search_order``, built with a
+lazy heap), so at depth d exactly the first d vertices of that order are
+colored.  Each edge is checked once, when its closing vertex (its last vertex
+in the order) is assigned: if the edge's other vertices all share a class the
+closing vertex must avoid it (would become monochromatic), and if they are
+pairwise distinct it must reuse one of them (would become rainbow).  Only the
+rules matching the forbidden edge kinds are active.  A set of classes (on an
+edge, forbidden, required, taken in a part, still to try) is one int with a
+bit per class.  The search is one loop over an explicit stack, so its depth
+has no recursion limit.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -175,8 +178,11 @@ def search_order(h: Hypergraph, strategy: str = "connectivity") -> list[int]:
     ``connectivity`` (default) repeatedly takes the vertex sharing the most
     edges with already-ordered vertices (ties: higher degree, then canonical
     position), which makes each edge's last vertex arrive soon after the
-    rest.  ``degree`` sorts by descending degree alone.  Heuristic only:
-    verdicts never depend on the order.
+    rest.  It is built with a lazy max-heap: a vertex is pushed again each
+    time its score rises, and entries whose score is stale are skipped, so
+    the order costs O(sum of squared edge sizes * log) rather than O(n^2).
+    ``degree`` sorts by descending degree alone.  Heuristic only: verdicts
+    never depend on the order.
     """
     n = h.num_vertices
     degrees = [h.degree(v) for v in h.vertices]
@@ -191,23 +197,20 @@ def search_order(h: Hypergraph, strategy: str = "connectivity") -> list[int]:
             incident[vi].append(pos)
     score = [0] * n
     placed = [False] * n
+    heap = [(0, -degrees[i], i) for i in range(n)]  # (-score, -degree, position)
+    heapq.heapify(heap)
     order: list[int] = []
-    for _ in range(n):
-        best = -1
-        best_key = (-1, -1, 1)
-        for i in range(n):
-            if placed[i]:
-                continue
-            key = (score[i], degrees[i], -i)
-            if key > best_key:
-                best_key = key
-                best = i
+    while heap:
+        neg_score, _, best = heapq.heappop(heap)
+        if -neg_score != score[best]:
+            continue  # stale: pushed before the vertex's score last rose
         order.append(best)
         placed[best] = True
         for pos in incident[best]:
             for u in edges[pos]:
                 if not placed[u]:
                     score[u] += 1
+                    heapq.heappush(heap, (-score[u], -degrees[u], u))
     return order
 
 
@@ -222,13 +225,17 @@ def _backtrack(
 ) -> Verdict:
     """The shared search; a witness comes back canonicalised, and each entry
     point re-verifies it against its own property."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 node, got {budget}")
     n = h.num_vertices
-    group_used: list[bytearray | None] = [None] * n  # per vertex: its group's used classes
+    # part_of[v] indexes part_used, the classes already taken in v's part;
+    # without parts every vertex is its own part, which never restricts it.
+    part_of = list(range(n))
     if groups is not None:
-        for part in groups:
-            used = bytearray(n + 1)
+        for i, part in enumerate(groups):
             for v in part:
-                group_used[h.index_of(v)] = used
+                part_of[h.index_of(v)] = i
+    part_used = [0] * n
 
     order = search_order(h, order_strategy)
     position = [0] * n
@@ -240,56 +247,54 @@ def _backtrack(
         last = max(key, key=position.__getitem__)
         closes[last].append(tuple(u for u in key if u != last))
 
-    color = [-1] * n
-    pending: list[list[int]] = [[] for _ in range(n)]  # per depth: untried classes, next one last
-    used_before = [0] * n  # classes in use on entering each depth
+    bit = [0] * n  # 1 << class of each colored vertex
+    pending = [0] * n  # per depth: classes not yet tried
+    fresh_before = [0] * n  # `fresh` on entering each depth
+    fresh = 1  # the bit of the class a vertex would open
     nodes = 0
-    num_used = 0
     depth = 0
     descending = True
     while True:
         if descending:
             if depth == n:
-                coloring = Coloring.from_assignment(h, {h.vertices[i]: color[i] for i in range(n)})
-                return Verdict(VerdictStatus.WITNESS_FOUND, coloring, nodes)
+                assignment = {h.vertices[i]: bit[i].bit_length() - 1 for i in range(n)}
+                return Verdict(VerdictStatus.WITNESS_FOUND, Coloring.from_assignment(h, assignment), nodes)
             v = order[depth]
-            forbidden: set[int] = set()
-            required: set[int] | None = None
+            forbidden = 0
+            required = -1
             for others in closes[v]:
-                on_edge = {color[u] for u in others}
-                if forbid_mono and len(on_edge) == 1:
-                    forbidden |= on_edge
-                if forbid_rainbow and len(on_edge) == len(others):
-                    required = on_edge if required is None else required & on_edge
-            gused = group_used[v]
-            pending[depth] = [
-                c
-                for c in (range(num_used, -1, -1) if required is None else sorted(required, reverse=True))
-                if c not in forbidden and not (gused is not None and gused[c])
-            ]
-            used_before[depth] = num_used
+                m = 0
+                for u in others:
+                    m |= bit[u]
+                if m & (m - 1) == 0:  # the other vertices share one class
+                    if forbid_mono:
+                        forbidden |= m
+                    if forbid_rainbow and len(others) == 1:
+                        required &= m
+                elif forbid_rainbow and m.bit_count() == len(others):  # pairwise distinct
+                    required &= m
+            todo = ((fresh << 1) - 1) & required & ~forbidden & ~part_used[part_of[v]]
+            fresh_before[depth] = fresh
         else:
             v = order[depth]
-            gused = group_used[v]
-            if gused is not None:
-                gused[color[v]] = 0
-            num_used = used_before[depth]
-        todo = pending[depth]
+            part_used[part_of[v]] ^= bit[v]
+            fresh = fresh_before[depth]
+            todo = pending[depth]
         if not todo:
             if depth == 0:
                 return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
             depth -= 1
             descending = False
             continue
-        c = todo.pop()
+        b = todo & -todo  # lowest class first
+        pending[depth] = todo ^ b
         nodes += 1
         if nodes > budget:
             return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
-        color[v] = c
-        if c == num_used:
-            num_used += 1
-        if gused is not None:
-            gused[c] = 1
+        bit[v] = b
+        if b == fresh:
+            fresh <<= 1
+        part_used[part_of[v]] |= b
         depth += 1
         descending = True
 
@@ -304,7 +309,7 @@ def find_good_coloring(
     ``WITNESS_FOUND`` carries such a coloring; ``PROPERTY_HOLDS`` means the
     canonical partition space was exhausted, i.e. every coloring of ``h`` has
     a monochromatic or rainbow edge; ``BUDGET_EXCEEDED`` reports the node
-    count reached.
+    count reached.  A ``budget`` below 1 raises ``ValueError``.
     """
     verdict = _backtrack(
         h,
@@ -329,7 +334,7 @@ def find_part_rainbow_bad(
 
     ``PROPERTY_HOLDS`` means every part-rainbow coloring has a rainbow edge,
     i.e. the partite hypergraph is part-rainbow-forced.  Colors may repeat
-    across different parts.
+    across different parts.  A ``budget`` below 1 raises ``ValueError``.
     """
     verdict = _backtrack(
         p.base,

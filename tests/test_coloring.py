@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from rmhyper.coloring import (
+    DEFAULT_BUDGET,
     Coloring,
     ColoringError,
     EdgeClass,
@@ -19,7 +20,7 @@ from rmhyper.coloring import (
     is_part_rainbow,
     search_order,
 )
-from rmhyper.construct import build_part_rainbow_forced, complete_partite_factor
+from rmhyper.construct import base_rainbow_path, build_part_rainbow_forced, complete_partite_factor
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 
 from oracles import bell_number, exhaustive_good_verdict, random_graph, random_hypergraph
@@ -215,6 +216,15 @@ class TestFindGoodColoring:
         with pytest.raises(ValueError):
             search_order(triple(), "alphabetical")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            find_good_coloring(triple(), budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            find_part_rainbow_bad(rainbow_path(), budget=budget)
+        smallest = find_good_coloring(triple(), budget=1)
+        assert (smallest.status, smallest.nodes) == (VerdictStatus.BUDGET_EXCEEDED, 2)
+
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         h = loose_path(1201)
         v = find_good_coloring(h)
@@ -281,19 +291,66 @@ class TestPartRainbow:
                 assert got.status is VerdictStatus.WITNESS_FOUND
 
 
+def _quadratic_connectivity_order(h):
+    """The connectivity order by a full rescan per pick, as the solver built
+    it before the heap: the reference the heap order must reproduce."""
+    n = h.num_vertices
+    degrees = [h.degree(v) for v in h.vertices]
+    edges = h.edge_index_tuples()
+    score = [0] * n
+    placed = [False] * n
+    order = []
+    for _ in range(n):
+        best = max((i for i in range(n) if not placed[i]), key=lambda i: (score[i], degrees[i], -i))
+        order.append(best)
+        placed[best] = True
+        for key in edges:
+            if best in key:
+                for u in key:
+                    if not placed[u]:
+                        score[u] += 1
+    return order
+
+
+def _order_corpus():
+    rng = random.Random(404)
+    for i in range(200):
+        r = 2 + i % 3
+        n = rng.randint(r, 40)
+        if i % 4 == 0:  # cyclic: every vertex has degree r, so every pick is a tie
+            edges = {tuple(sorted((j + k) % n for k in range(r))) for j in range(n)}
+        else:  # sparse: many vertices share a degree, some are isolated
+            edges = {tuple(sorted(rng.sample(range(n), r))) for _ in range(rng.randint(0, 2 * n))}
+        yield Hypergraph(range(n), sorted(edges))
+    pr = build_part_rainbow_forced(3, 3)
+    for parts in (3, 4, 5):
+        yield complete_partite_factor(pr, parts)[0].base
+    for parts in (2, 3, 6):
+        yield complete_partite_factor(base_rainbow_path(), parts)[0].base
+
+
+def test_heap_order_matches_the_quadratic_scan():
+    for h in _order_corpus():
+        assert search_order(h) == _quadratic_connectivity_order(h)
+
+
 def _pinned_instance(name):
-    if name.startswith("packing"):
-        n, seed = name[len("packing"):].split("-")
-        return linear_packing(int(n), int(seed))
+    for prefix in ("packing", "tail"):
+        if name.startswith(prefix):
+            n, seed = name[len(prefix):].split("-")
+            return linear_packing(int(n), int(seed))
     if name.startswith("pr(3,3)"):
         pr = build_part_rainbow_forced(3, 3)
-        return complete_partite_factor(pr, 4)[0] if name.endswith("x4") else pr
+        _, _, parts = name.partition("x")
+        return complete_partite_factor(pr, int(parts))[0] if parts else pr
     return {"AG(2,3)": affine_plane_3, "STS(13)": cyclic_sts_13, "PG(3,2)": projective_space_3_2}[name]()
 
 
 # Status, node count and SHA-256 prefix of the canonical coloring (classes in
-# vertex order) per instance and order, recorded from the recursive search
-# this loop replaced: the search tree itself is pinned, not just the verdict.
+# vertex order) per instance and order, recorded from earlier kernels (the
+# recursive search, then the set-based loop) before each was replaced: the
+# search tree itself is pinned, not just the verdict.  "tail" packings run
+# under the benchmark's tail budget of 40,000 nodes.
 @pytest.mark.parametrize(
     "name,strategy,status,nodes,coloring_digest",
     [
@@ -311,14 +368,18 @@ def _pinned_instance(name):
         ("packing22-3", "degree", "property_holds", 8306, None),
         ("pr(3,3)", "connectivity", "property_holds", 8674, None),
         ("pr(3,3)x4", "connectivity", "property_holds", 8674, None),
+        ("pr(3,3)x6", "connectivity", "property_holds", 8674, None),
+        ("tail41-1", "connectivity", "budget_exceeded", 40001, None),
+        ("tail41-1", "degree", "budget_exceeded", 40001, None),
     ],
 )
 def test_pinned_search_tree(name, strategy, status, nodes, coloring_digest):
     instance = _pinned_instance(name)
+    budget = 40_000 if name.startswith("tail") else DEFAULT_BUDGET
     if isinstance(instance, PartiteHypergraph):
-        v = find_part_rainbow_bad(instance, order_strategy=strategy)
+        v = find_part_rainbow_bad(instance, budget=budget, order_strategy=strategy)
     else:
-        v = find_good_coloring(instance, order_strategy=strategy)
+        v = find_good_coloring(instance, budget=budget, order_strategy=strategy)
     assert (v.status.value, v.nodes) == (status, nodes)
     if coloring_digest is None:
         assert v.coloring is None

@@ -218,12 +218,25 @@ class TestCli:
         capsys.readouterr()
 
     def test_deep_instance_is_solved(self, tmp_path, capsys):
-        # 3-uniform loose path on 1201 vertices: the search goes 1201 levels deep
-        path = Hypergraph(range(1201), [(i, i + 1, i + 2) for i in range(0, 1199, 2)])
-        f = tmp_path / "path.json"
-        f.write_text(dumps(path))
-        assert run(["solve", "good", str(f)]) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "witness_found"
+        # 3-uniform loose paths: the search goes n levels deep, and at 30,001
+        # vertices the search order must not rescan every vertex per pick
+        for n in (1201, 30_001):
+            path = Hypergraph(range(n), [(i, i + 1, i + 2) for i in range(0, n - 2, 2)])
+            f = tmp_path / "path.json"
+            f.write_text(dumps(path))
+            assert run(["solve", "good", str(f)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["status"], report["nodes"]) == ("witness_found", n)
+
+    @pytest.mark.parametrize("kind", ["good", "part-rainbow"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_bad_input(self, tmp_path, capsys, kind, budget):
+        f = tmp_path / "rp.json"
+        path = Hypergraph(["x", "y", "z"], [["x", "y"], ["y", "z"]])
+        f.write_text(dumps(PartiteHypergraph(path, [["x", "z"], ["y"]])))
+        assert run(["solve", kind, str(f), "--budget", budget]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget" in captured.err
 
     def test_unexpected_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):

@@ -1,0 +1,75 @@
+"""Metamorphic properties of the solver: verdicts that must not change when
+the input changes in a way that cannot change the answer."""
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rmhyper.coloring import (  # noqa: E402
+    VerdictStatus,
+    coloring_is_good,
+    find_good_coloring,
+    find_part_rainbow_bad,
+)
+from rmhyper.core import Hypergraph, PartiteHypergraph  # noqa: E402
+
+# Reproducible runs that leave no example database behind.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def hypergraphs(draw, min_edge_size=2):
+    n = draw(st.integers(min_edge_size, 8))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=min_edge_size, max_size=min(4, n))
+    edges = draw(st.sets(edge, max_size=10))
+    return Hypergraph(range(n), sorted(map(sorted, edges)))
+
+
+@st.composite
+def partite_hypergraphs(draw):
+    n = draw(st.integers(2, 8))
+    part_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = [[v for v in range(n) if part_of[v] == p] for p in sorted(set(part_of))]
+    edge = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=min(4, n))
+    edges = [e for e in draw(st.sets(edge, max_size=10)) if len({part_of[v] for v in e}) == len(e)]
+    return PartiteHypergraph(Hypergraph(range(n), sorted(map(sorted, edges))), parts)
+
+
+def relabel(h, perm):
+    """``h`` with vertex v renamed perm[v] and listed in the renamed order."""
+    return Hypergraph(sorted(perm[v] for v in h.vertices), [[perm[v] for v in e] for e in h.edges])
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_good_verdict_is_invariant_under_relabelling_and_order(data):
+    h = data.draw(hypergraphs())
+    perm = data.draw(st.permutations(range(h.num_vertices)))
+    status = find_good_coloring(h).status
+    assert status is not VerdictStatus.BUDGET_EXCEEDED
+    assert find_good_coloring(relabel(h, perm)).status is status
+    assert find_good_coloring(h, order_strategy="degree").status is status
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_part_rainbow_verdict_is_invariant_under_relabelling_and_order(data):
+    p = data.draw(partite_hypergraphs())
+    perm = data.draw(st.permutations(range(p.num_vertices)))
+    status = find_part_rainbow_bad(p).status
+    assert status is not VerdictStatus.BUDGET_EXCEEDED
+    renamed = PartiteHypergraph(relabel(p.base, perm), [[perm[v] for v in part] for part in p.parts])
+    assert find_part_rainbow_bad(renamed).status is status
+    assert find_part_rainbow_bad(p, order_strategy="degree").status is status
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_good_coloring_survives_edge_deletion(data):
+    h = data.draw(hypergraphs(min_edge_size=3))  # a 2-vertex edge admits no good coloring
+    verdict = find_good_coloring(h)
+    hypothesis.assume(verdict.status is VerdictStatus.WITNESS_FOUND)
+    kept = data.draw(st.lists(st.sampled_from(h.edges), unique=True)) if h.edges else []
+    smaller = Hypergraph(h.vertices, kept)
+    assert coloring_is_good(smaller, verdict.coloring)
+    assert find_good_coloring(smaller).status is VerdictStatus.WITNESS_FOUND
