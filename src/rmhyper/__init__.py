@@ -23,7 +23,6 @@ from .core import (
     HypergraphError,
     PartiteHypergraph,
     complete_hypergraph,
-    disjoint_union,
 )
 from .construct import (
     BuildLimits,
@@ -97,7 +96,6 @@ __all__ = [
     "counting_inequality_holds",
     "counting_threshold",
     "cycle_count_bound_check",
-    "disjoint_union",
     "enumerate_partitions",
     "estimate_h_size",
     "estimate_pr_size",

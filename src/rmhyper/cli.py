@@ -265,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--g", type=int, help="girth target (pr, h)")
     p_construct.add_argument("--input", help="partite hypergraph JSON (factor)")
     p_construct.add_argument("--parts", type=int, help="part count a (factor)")
-    p_construct.add_argument("--seed", type=int, default=0)
+    p_construct.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the random supplier; pr with r <= 3 and g <= 8 takes its "
+        "suppliers from finite geometry and does not depend on it",
+    )
     p_construct.add_argument("--max-vertices", type=int, default=BuildLimits().max_vertices)
     p_construct.add_argument("--max-edges", type=int, default=BuildLimits().max_edges)
     p_construct.add_argument("-o", "--output", default=None)

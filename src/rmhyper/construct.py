@@ -3,7 +3,11 @@
 The building blocks: attaching a private marker vertex to every edge (raising
 uniformity by one), amalgamation of a partite hypergraph along one part using
 a base hypergraph, complete partite factors, and a supplier of uniform
-hypergraphs with prescribed minimum degree and girth.
+hypergraphs with prescribed minimum degree and girth.  For graphs the
+supplier is deterministic where finite geometry gives one (K_{q+1}, K_{q,q},
+the plane PG(2, q-1) and the quadrangle W(q-1) for girth up to 8), so the
+3-uniform builds through girth 8 are exact and need no seed; elsewhere it
+is random.
 
 Each recursion is written once, as steps that pair a block's cardinality
 identity with its builder, and evaluated two ways: over sizes (exact integers,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Any, Callable, Sequence
 
@@ -171,11 +175,12 @@ def _complete_size(n: int, r: int) -> _Size:
 
 
 def _supplier_size(ell: int, g: int, q: int) -> _Size:
-    """supply_min_degree_girth: exact for the K_{q+1} shortcut (ell = 2,
-    g <= 3); otherwise the random route's starting vertex count with the
-    degree-sum lower bound on edges."""
-    if ell == 2 and g <= 3:
-        return _Size(q + 1, comb(q + 1, 2))
+    """supply_min_degree_girth: exact where a finite geometry gives the
+    supplier (see :func:`_moore_graph`); otherwise the random route's
+    starting vertex count with the degree-sum lower bound on edges."""
+    moore = _moore_graph(ell, g, q)
+    if moore is not None:
+        return moore[0]
     if g == 2:
         n = max(2 * ell, q + ell)
     else:
@@ -183,6 +188,98 @@ def _supplier_size(ell: int, g: int, q: int) -> _Size:
         # forces n >= q*(ell-1) + 1 around a max-degree vertex
         n = max(2 * ell, q * (ell - 1) + 1)
     return _Size(n, -(-q * n // ell), exact=False)
+
+
+# ---------------------------------------------------------------------------
+# Deterministic suppliers from finite geometry
+# ---------------------------------------------------------------------------
+
+
+def _moore_graph(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]] | None:
+    """The deterministic supplier as its exact size and its builder, or None
+    where the random route is taken (ell >= 3, g >= 9, or g >= 5 with q - 1
+    not prime).  Each graph is q-regular and meets the Moore bound for its
+    own girth (3, 4, 6 or 8): no graph of that girth and degree is smaller.
+
+    g <= 3: the complete graph K_{q+1}.  4 <= g <= 8: the incidence graph of
+    a generalized n-gon of order (p, p), p = q - 1, n = ceil(g / 2), with
+    girth 2n and 1 + p + ... + p^(n-1) points and as many lines: K_{q,q}
+    (n = 2), the plane PG(2, p) (n = 3) and the symplectic quadrangle W(p)
+    (n = 4), the last two over the prime field F_p.
+    """
+    if ell != 2 or g > 8:
+        return None
+    if g <= 3:
+        return _Size(q + 1, comb(q + 1, 2)), lambda: complete_hypergraph(q + 1, 2)
+    n, p = (g + 1) // 2, q - 1
+    if n > 2 and not _is_prime(p):
+        return None
+    points = sum(p**i for i in range(n))
+    return _Size(2 * points, q * points), lambda: _polygon_incidence_graph(n, p)
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
+    """The points of PG(dim - 1, p): the nonzero vectors of F_p^dim whose
+    first nonzero coordinate is 1, in lexicographic order."""
+    return [
+        (0,) * j + (1,) + rest
+        for j in reversed(range(dim))
+        for rest in product(range(p), repeat=dim - 1 - j)
+    ]
+
+
+def _normalised(x: tuple[int, ...], p: int) -> tuple[int, ...]:
+    inverse = pow(next(c for c in x if c), -1, p)
+    return tuple(c * inverse % p for c in x)
+
+
+def _hyperplane(u: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The points x of PG(len(u) - 1, p) with u . x = 0, for a normalised u.
+    With u_j the leading 1, x is fixed by its other coordinates, which run
+    over the points of PG(len(u) - 2, p)."""
+    j = u.index(1)
+    rest = u[:j] + u[j + 1 :]
+    return [
+        _normalised((*a[:j], -sum(b * c for b, c in zip(a, rest)) % p, *a[j:]), p)
+        for a in _projective_points(len(u) - 1, p)
+    ]
+
+
+def _polygon_incidence_graph(n: int, p: int) -> Hypergraph:
+    """The incidence graph of a generalized n-gon of order (p, p), n in
+    {2, 3, 4}: points 0..P-1, then lines P..2P-1.
+
+    n = 2: every point on every line.  n = 3: the plane PG(2, p), whose line
+    u holds the points x with u . x = 0.  n = 4: the quadrangle W(p), all
+    points of PG(3, p) with the lines through two points x, y on which the
+    symplectic form x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes.
+    """
+    if n == 2:
+        lines: list[Sequence[int]] = [range(p + 1)] * (p + 1)
+    elif n == 3:
+        points = _projective_points(3, p)
+        index = {x: i for i, x in enumerate(points)}
+        lines = [[index[x] for x in _hyperplane(u, p)] for u in points]
+    else:
+        points = _projective_points(4, p)
+        index = {x: i for i, x in enumerate(points)}
+        found: set[tuple[int, ...]] = set()
+        for i, x in enumerate(points):
+            # the lines on x lie in the plane of the y with form(x, y) = 0,
+            # and each meets y_j = 0 (x_j the leading 1) in one point y
+            j = x.index(1)
+            for y in _hyperplane(_normalised((-x[1], x[0], -x[3], x[2]), p), p):
+                if y[j] == 0:
+                    span = (tuple((b + t * a) % p for a, b in zip(x, y)) for t in range(p))
+                    found.add(tuple(sorted([i, *(index[_normalised(z, p)] for z in span)])))
+        lines = sorted(found)
+    size = len(lines)
+    edges = [(i, size + j) for j, line in enumerate(lines) for i in line]
+    return Hypergraph(range(2 * size), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +404,16 @@ def supply_min_degree_girth(
 ) -> Hypergraph:
     """An ell-uniform hypergraph with girth >= g and minimum degree >= q.
 
-    Deterministic shortcut for ell = 2, g <= 3: the complete graph on q+1
-    vertices.  Otherwise generates a random high-girth hypergraph, peels
+    Deterministic for graphs (ell = 2) with g <= 3 (K_{q+1}), g = 4
+    (K_{q,q}), and g <= 8 when q - 1 is prime (the incidence graph of the
+    plane PG(2, q-1) for g <= 6, of the quadrangle W(q-1) for g <= 8):
+    exactly where :func:`_supplier_size` is exact, and independent of the
+    seed.  Otherwise generates a random high-girth hypergraph, peels
     vertices of degree below q to a fixpoint, and retries at larger n if the
-    peeling empties the hypergraph.  The output is re-verified before return.
+    peeling empties the hypergraph.  Either way the output is re-verified
+    before return.  A geometry beyond the vertex or edge limit, or a random
+    start beyond the vertex limit, raises :class:`SupplierError` before
+    anything is built.
     """
     validate_uniformity(ell)
     if g < 2:
@@ -319,19 +422,32 @@ def supply_min_degree_girth(
         raise ValueError(f"minimum degree must be >= 1, got {q}")
     params = params or ConstructionParams()
 
-    start = _supplier_size(ell, g, q)
-    if start.exact:
-        return complete_hypergraph(start.num_vertices, 2)
+    def refuse_beyond_limits(vertices: int, edges: int = 0) -> None:
+        limits = params.limits
+        if vertices > limits.max_vertices or edges > limits.max_edges:
+            raise SupplierError(
+                f"supplier for ell={ell}, g={g}, q={q} exceeds the limits "
+                f"({limits.max_vertices} vertices / {limits.max_edges} edges)"
+            )
+
+    def verified(h: Hypergraph) -> Hypergraph:
+        if not h.is_uniform(ell) or min(h.degree(v) for v in h.vertices) < q:
+            raise AssertionError("supplier output lost uniformity or minimum degree")
+        if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
+            raise AssertionError("supplier output lost the girth guarantee")
+        return h
+
+    moore = _moore_graph(ell, g, q)
+    if moore is not None:
+        size, build = moore
+        refuse_beyond_limits(size.num_vertices, size.num_edges)
+        return verified(build())
 
     from .randgen import derive_seed, random_high_girth
 
-    n = start.num_vertices
+    n = _supplier_size(ell, g, q).num_vertices
     for attempt in range(params.supplier_tries):
-        if n > params.limits.max_vertices:
-            raise SupplierError(
-                f"supplier needs more than {params.limits.max_vertices} vertices "
-                f"for ell={ell}, g={g}, q={q}"
-            )
+        refuse_beyond_limits(n)
         sample = random_high_girth(
             n, ell, g, derive_seed(params.seed, f"supplier:{attempt}"), min_edges=1
         )
@@ -342,12 +458,8 @@ def supply_min_degree_girth(
                 break
             keep = set(h.vertices) - set(low)
             h = h.induced(keep)
-        if h.num_edges and min(h.degree(v) for v in h.vertices) >= q:
-            if not h.is_uniform(ell):
-                raise AssertionError("peeled hypergraph lost uniformity")
-            if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
-                raise AssertionError("peeled hypergraph lost the girth guarantee")
-            return h
+        if h.num_edges:  # the peeling left only vertices of degree >= q
+            return verified(h)
         n = math.ceil(n * 1.5)
     raise SupplierError(
         f"no ell={ell} hypergraph with girth >= {g} and min degree >= {q} found "

@@ -263,22 +263,3 @@ def complete_hypergraph(n: int, r: int) -> Hypergraph:
         raise HypergraphError(f"need at least r={r} vertices, got {n}")
     return Hypergraph(range(n), combinations(range(n), r))
 
-
-def disjoint_union(
-    hs: Sequence[Hypergraph],
-) -> tuple[Hypergraph, tuple[dict[VertexId, int], ...]]:
-    """Vertex-disjoint union, relabelled onto 0..N-1.
-
-    Returns the union plus one injection per input, mapping original vertex
-    ids to the new integer ids.  Copy k occupies a contiguous id block, in
-    the input's canonical vertex order.
-    """
-    maps: list[dict[VertexId, int]] = []
-    edges: list[list[int]] = []
-    offset = 0
-    for h in hs:
-        relabel = {v: offset + i for i, v in enumerate(h.vertices)}
-        maps.append(relabel)
-        edges.extend([[relabel[v] for v in e] for e in h.edges])
-        offset += h.num_vertices
-    return Hypergraph(range(offset), edges), tuple(maps)

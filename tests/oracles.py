@@ -1,4 +1,5 @@
-"""Independent brute-force oracles and seeded corpus generators.
+"""Independent brute-force oracles, a disjoint union and seeded corpus
+generators.
 
 Everything here re-derives expected values straight from the definitions,
 without touching the library's incidence reduction or backtracking solver,
@@ -140,6 +141,29 @@ def exhaustive_good_verdict(h: Hypergraph) -> tuple[str, tuple | None]:
         if ok:
             return "witness", rgs
     return "holds", None
+
+
+# ---------------------------------------------------------------------------
+# Disjoint unions
+# ---------------------------------------------------------------------------
+
+
+def disjoint_union(hs: list[Hypergraph]) -> tuple[Hypergraph, tuple[dict, ...]]:
+    """Vertex-disjoint union, relabelled onto 0..N-1.
+
+    Returns the union plus one injection per input, mapping original vertex
+    ids to the new integer ids.  Copy k occupies a contiguous id block, in
+    the input's canonical vertex order.
+    """
+    maps: list[dict] = []
+    edges: list[list[int]] = []
+    offset = 0
+    for h in hs:
+        relabel = {v: offset + i for i, v in enumerate(h.vertices)}
+        maps.append(relabel)
+        edges.extend([[relabel[v] for v in e] for e in h.edges])
+        offset += h.num_vertices
+    return Hypergraph(range(offset), edges), tuple(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from rmhyper.construct import (
     base_rainbow_path,
     build_part_rainbow_forced,
     build_rm_unavoidable,
+    estimate_pr_size,
     supply_min_degree_girth,
 )
 from rmhyper.formats import load_path
@@ -237,3 +238,12 @@ def test_criterion_12_end_to_end_two_uniform_girth_three():
     ok &= find_good_coloring(h).status is VerdictStatus.PROPERTY_HOLDS
     ok &= trace.info["r"] == 2 and trace.info["g"] == 3
     report(12, "2-uniform girth-3 instance builds and certifies end to end", ok, time.time() - t0, 300)
+
+
+def test_criterion_13_three_uniform_girth_eight_from_the_quadrangle():
+    t0 = time.time()
+    pr = build_part_rainbow_forced(3, 8)  # re-verifies girth >= 8 before returning
+    est = estimate_pr_size(3, 8)
+    ok = est.exact and (est.vertices, est.edges) == (pr.num_vertices, pr.num_edges) == (3120, 1872)
+    ok &= pr.base.is_uniform(3)
+    report(13, "pr(3, 8) builds exactly as estimated and verifies girth >= 8", ok, time.time() - t0, 2)

@@ -27,7 +27,7 @@ from rmhyper.construct import (
 )
 from rmhyper.core import Hypergraph, HypergraphError, PartiteHypergraph, complete_hypergraph
 from rmhyper.formats import dumps
-from rmhyper.girth import girth
+from rmhyper.girth import Girth, girth
 
 from oracles import random_partite
 
@@ -195,6 +195,8 @@ class TestSupplier:
         assert girth(out, cap=3).girth.kind == "infinite"
 
     def test_random_route_girth_four_graph(self):
+        # girth 4 is met by K_{3,3}; test_random_route_graph covers the
+        # random route for graphs
         out = supply_min_degree_girth(2, 4, 3, ConstructionParams(seed=5))
         assert out.is_uniform(2)
         assert min(out.degree(v) for v in out.vertices) >= 3
@@ -215,6 +217,44 @@ class TestSupplier:
         params = ConstructionParams(limits=BuildLimits(max_vertices=40, max_edges=100))
         with pytest.raises(SupplierError):
             supply_min_degree_girth(2, 5, 12, params)
+
+    @pytest.mark.parametrize(
+        "g, vertices, edges",
+        [(4, 12, 36), (5, 62, 186), (6, 62, 186), (7, 312, 936), (8, 312, 936)],
+    )
+    def test_generalized_polygon_suppliers(self, g, vertices, edges):
+        # K_{6,6}, the plane PG(2, 5) and the quadrangle W(5): 6-regular,
+        # sized exactly by the estimate, and the same for every seed
+        assert construct._supplier_size(2, g, 6) == construct._Size(vertices, edges)
+        out = supply_min_degree_girth(2, g, 6)
+        assert (out.num_vertices, out.num_edges) == (vertices, edges)
+        assert out.is_uniform(2)
+        assert all(out.degree(v) == 6 for v in out.vertices)
+        assert girth(out, cap=g + 1).girth == Girth.finite(g + g % 2)
+        assert supply_min_degree_girth(2, g, 6, ConstructionParams(seed=99)) == out
+
+    def test_random_route_outside_the_geometries(self):
+        # ell >= 3; g >= 9, past the quadrangles; q - 1 = 4 is not prime
+        for ell, g, q in [(3, 3, 6), (2, 9, 6), (2, 5, 5)]:
+            assert not construct._supplier_size(ell, g, q).exact
+
+    @pytest.mark.parametrize("g", [5, 9])
+    def test_random_route_graph(self, g):
+        # q - 1 = 1 is not prime, so girth 5 is random too
+        out = supply_min_degree_girth(2, g, 2, ConstructionParams(seed=3))
+        assert out.is_uniform(2)
+        assert min(out.degree(v) for v in out.vertices) >= 2
+        assert girth(out, cap=g - 1).girth.guarantees_at_least(g)
+
+    @pytest.mark.parametrize("max_vertices, max_edges", [(311, 10_000), (10_000, 935)])
+    def test_geometry_beyond_limits_is_refused_before_it_is_built(
+        self, monkeypatch, max_vertices, max_edges
+    ):
+        # W(5) has 312 vertices and 936 edges
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
+        params = ConstructionParams(limits=BuildLimits(max_vertices, max_edges))
+        with pytest.raises(SupplierError, match="exceeds the limits"):
+            supply_min_degree_girth(2, 8, 6, params)
 
 
 class TestBuildPartRainbowForced:
@@ -250,16 +290,26 @@ class TestBuildPartRainbowForced:
             build_part_rainbow_forced(4, 3)
 
     def test_step_beyond_limits_is_refused_before_it_is_built(self, monkeypatch):
-        # the estimate for (3, 4) is a lower bound of 70 vertices; a supplier
-        # output larger than that bound pushes the amalgamation step past
-        # the limits, which the step must notice before amalgamating
+        # the estimate for (3, 9) is a lower bound of 70 vertices (its
+        # supplier is random); a supplier output larger than that bound
+        # pushes the amalgamation step past the limits, which the step must
+        # notice before amalgamating
         supply = lambda *args: complete_hypergraph(9, 2)  # min degree 8 >= q = 6
         monkeypatch.setattr(construct, "supply_min_degree_girth", supply)
         monkeypatch.setattr(construct, "amalgamate", _unreachable)
         params = ConstructionParams(limits=BuildLimits(max_vertices=100, max_edges=100))
+        assert estimate_pr_size(3, 9) == SizeEstimate(70, 42, False, False, LOWER_BOUNDS)
         with pytest.raises(SizeLimitError) as err:
-            build_part_rainbow_forced(3, 4, params)
+            build_part_rainbow_forced(3, 9, params)
         assert (err.value.estimate.vertices, err.value.estimate.edges) == (117, 72)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_three_uniform_builds_are_exact_and_seed_free(self, g):
+        est = estimate_pr_size(3, g)
+        pr = build_part_rainbow_forced(3, g)
+        assert est.exact and (est.vertices, est.edges) == (pr.num_vertices, pr.num_edges)
+        reseeded = build_part_rainbow_forced(3, g, ConstructionParams(seed=12345))
+        assert dumps(reseeded) == dumps(pr)
 
     def test_estimates(self):
         assert estimate_pr_size(2, 7).vertices == 3
@@ -368,11 +418,11 @@ def _base_trace(r, g, vertices, edges, **note):
 LOWER_BOUNDS = "supplier sizes are lower bounds; actual sizes may be far larger"
 
 # (kind, r, g, estimate, SHA-256 prefix of the build's JSON or None when not
-# built, trace of the h build); pr(3, 4) is seeded, so only its estimate is pinned
+# built, trace of the h build)
 PINNED = [
     ("pr", 2, 2, SizeEstimate(3, 2, False, True, ""), "30ed48e99adc8ad2", None),
     ("pr", 3, 3, SizeEstimate(70, 42, False, True, ""), "cd1923c8c231c78b", None),
-    ("pr", 3, 4, SizeEstimate(70, 42, False, False, LOWER_BOUNDS), None, None),
+    ("pr", 3, 4, SizeEstimate(120, 72, False, True, ""), "5bec9f0dc8d5b3a0", None),
     ("pr", 4, 2, SizeEstimate(59010, 35280, False, False, LOWER_BOUNDS), None, None),
     ("pr", 4, 3, SizeEstimate(1935809, 1157352, False, False, LOWER_BOUNDS), None, None),
     ("pr", 5, 3, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
@@ -402,6 +452,11 @@ PINNED = [
         None, None,
     ),
     ("h", 3, 4, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
+    # suppliers PG(2, 5) for g = 5, 6 and W(5) for g = 7, 8
+    ("pr", 3, 5, SizeEstimate(620, 372, False, True, ""), "ea80171417d56bc4", None),
+    ("pr", 3, 6, SizeEstimate(620, 372, False, True, ""), "ea80171417d56bc4", None),
+    ("pr", 3, 7, SizeEstimate(3120, 1872, False, True, ""), "432c193532acb7ac", None),
+    ("pr", 3, 8, SizeEstimate(3120, 1872, False, True, ""), "432c193532acb7ac", None),
 ]
 
 

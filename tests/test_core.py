@@ -7,10 +7,9 @@ from rmhyper.core import (
     HypergraphError,
     PartiteHypergraph,
     complete_hypergraph,
-    disjoint_union,
 )
 
-from oracles import random_hypergraph
+from oracles import disjoint_union, random_hypergraph
 import random
 
 

@@ -122,6 +122,17 @@ class TestCli:
         assert code == 1
         assert report["status"] == "property_holds"
 
+    def test_construct_pr_from_a_geometry_ignores_the_seed(self, tmp_path, capsys):
+        built = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"pr35-{seed}.json"
+            argv = ["construct", "pr", "--r", "3", "--g", "5", "--seed", seed, "-o", str(out)]
+            assert run(argv) == 0
+            doc = json.loads(out.read_text())
+            built.append((doc["edges"], doc["parts"]))
+        assert built[0] == built[1]
+        assert len(built[0][0]) == 372
+
     def test_construct_factor(self, tmp_path, capsys):
         pr = tmp_path / "pr.json"
         run(["construct", "pr", "--r", "2", "--g", "3", "-o", str(pr)])

@@ -1,5 +1,6 @@
-"""Metamorphic properties of the solver: verdicts that must not change when
-the input changes in a way that cannot change the answer."""
+"""Metamorphic properties of the solver and the girth engine: answers that
+must not change, or may move only one way, when the input changes in a way
+that cannot change the answer."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,6 +13,7 @@ from rmhyper.coloring import (  # noqa: E402
     find_part_rainbow_bad,
 )
 from rmhyper.core import Hypergraph, PartiteHypergraph  # noqa: E402
+from rmhyper.girth import girth  # noqa: E402
 
 # Reproducible runs that leave no example database behind.
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -73,3 +75,24 @@ def test_good_coloring_survives_edge_deletion(data):
     smaller = Hypergraph(h.vertices, kept)
     assert coloring_is_good(smaller, verdict.coloring)
     assert find_good_coloring(smaller).status is VerdictStatus.WITNESS_FOUND
+
+
+def exact_girth(h):
+    """Berge girth, or infinity when acyclic; exact, since a cycle uses
+    distinct edges and so is never longer than the edge count."""
+    found = girth(h, cap=max(2, h.num_edges)).girth
+    return found.value if found.is_finite else float("inf")
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_edge_deletion_never_lowers_girth(data):
+    # sparser than hypergraphs(), so that girths above 2 and acyclic inputs are common
+    n = data.draw(st.integers(2, 9))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=min(3, n))
+    h = Hypergraph(range(n), sorted(map(sorted, data.draw(st.sets(edge, max_size=8)))))
+    before = exact_girth(h)
+    kept = data.draw(st.lists(st.sampled_from(h.edges), unique=True)) if h.edges else []
+    assert exact_girth(Hypergraph(h.vertices, kept)) >= before
+    for edge in h.edges:
+        assert exact_girth(h.without_edges([edge])) >= before
