@@ -14,7 +14,6 @@ from .coloring import (
     VerdictStatus,
     classify_edge,
     coloring_is_good,
-    enumerate_partitions,
     find_good_coloring,
     find_part_rainbow_bad,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "counting_inequality_holds",
     "counting_threshold",
     "cycle_count_bound_check",
-    "enumerate_partitions",
     "estimate_h_size",
     "estimate_pr_size",
     "find_good_coloring",

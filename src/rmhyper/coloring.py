@@ -8,34 +8,32 @@ Bell-number scale without losing completeness.
 
 Vertices are colored in a static order (``search_order``, built with a
 lazy heap), so at depth d exactly the first d vertices of that order are
-colored.  Each edge is checked once, when its closing vertex (its last vertex
-in the order) is assigned: if the edge's other vertices all share a class the
-closing vertex must avoid it (would become monochromatic), and if they are
-pairwise distinct it must reuse one of them (would become rainbow).  Only the
-rules matching the forbidden edge kinds are active.  A set of classes (on an
-edge, forbidden, required, taken in a part, still to try) is one int with a
-bit per class.  The search is one loop over an explicit stack, so its depth
-has no recursion limit.
+colored.  An edge whose other vertices share one class may not have its
+closing vertex w (its last in the order) take that class (monochromatic);
+one whose other vertices are pairwise distinct must have w reuse one of them
+(rainbow).  Only the rules matching the forbidden edge kinds are active.
+They are applied by forward checking (Haralick and Elliott, 1980): each class
+tried for the edge's second-to-last vertex tightens w's forbidden and
+required classes, and is rejected at once if w has none left; w's own
+candidates are then read off those masks.  Masks only tighten deeper down,
+so the first witness is the one a check at w alone would find, in no more
+nodes.  A set of classes is one int with a bit per class, and the search is
+one loop over an explicit stack, so its depth has no recursion limit.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Hypergraph, PartiteHypergraph, VertexId
 
 DEFAULT_BUDGET = 10_000_000
-MAX_PARTITION_VERTICES = 15  # Bell(15) ~ 1.4e9: anything above is not desk scale
 
 
 class ColoringError(ValueError):
     """A coloring is malformed for the requested operation."""
-
-
-class PartitionLimitError(ValueError):
-    """Exhaustive partition enumeration was asked for too many vertices."""
 
 
 class EdgeClass(Enum):
@@ -94,7 +92,8 @@ class Verdict:
     """Three-valued outcome of a search-based verifier.
 
     ``nodes`` counts decision-tree nodes explored, the reproducible budget
-    unit used by every solver entry point.
+    unit used by every solver entry point: one per class tried for a vertex,
+    including a class that forward checking rejects at once.
     """
 
     status: VerdictStatus
@@ -136,35 +135,6 @@ def is_part_rainbow(p: PartiteHypergraph, coloring: Coloring | Mapping[VertexId,
         if len(set(colors)) != len(colors):
             return False
     return True
-
-
-def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_VERTICES) -> Iterator[tuple[int, ...]]:
-    """All set partitions of n items as restricted-growth strings.
-
-    Yields each partition exactly once, in lexicographic restricted-growth
-    order.  Guarded by ``max_n`` because the count is the n-th Bell number.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > max_n:
-        raise PartitionLimitError(f"partition enumeration limited to n <= {max_n}, got {n}")
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    maxima = [0] * n  # maxima[i] = 1 + max(rgs[:i+1])
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        top = maxima[i - 1] if i else 0
-        for c in range(top + 1):
-            rgs[i] = c
-            maxima[i] = max(top, c + 1)
-            yield from rec(i + 1)
-
-    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +211,23 @@ def _backtrack(
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    # closes[v]: for each edge whose last vertex in `order` is v, its other vertices
-    closes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    # feeds[v]: (w, rest) for each edge whose last two vertices in `order`
+    # are v and then w, sorted so that the edges closing at one w are adjacent
+    feeds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for key in h.edge_index_tuples():
-        last = max(key, key=position.__getitem__)
-        closes[last].append(tuple(u for u in key if u != last))
+        *rest, v, w = sorted(key, key=position.__getitem__)
+        feeds[v].append((w, tuple(rest)))
+    for fed in feeds:
+        fed.sort()
 
+    forbidden = [0] * n  # classes a vertex may not take, from the edges it closes
+    required = [-1] * n  # classes it must take one of (-1: any)
     bit = [0] * n  # 1 << class of each colored vertex
     pending = [0] * n  # per depth: classes not yet tried
     fresh_before = [0] * n  # `fresh` on entering each depth
+    # per depth, per edge v feeds: (w, w's masks before v, the classes of v
+    # making it monochromatic, the rest's classes if pairwise distinct or -1)
+    checks: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
     fresh = 1  # the bit of the class a vertex would open
     nodes = 0
     depth = 0
@@ -260,41 +238,64 @@ def _backtrack(
                 assignment = {h.vertices[i]: bit[i].bit_length() - 1 for i in range(n)}
                 return Verdict(VerdictStatus.WITNESS_FOUND, Coloring.from_assignment(h, assignment), nodes)
             v = order[depth]
-            forbidden = 0
-            required = -1
-            for others in closes[v]:
-                m = 0
-                for u in others:
-                    m |= bit[u]
-                if m & (m - 1) == 0:  # the other vertices share one class
-                    if forbid_mono:
-                        forbidden |= m
-                    if forbid_rainbow and len(others) == 1:
-                        required &= m
-                elif forbid_rainbow and m.bit_count() == len(others):  # pairwise distinct
-                    required &= m
-            todo = ((fresh << 1) - 1) & required & ~forbidden & ~part_used[part_of[v]]
+            todo = ((fresh << 1) - 1) & required[v] & ~forbidden[v] & ~part_used[part_of[v]]
             fresh_before[depth] = fresh
+            found = []
+            for w, rest in feeds[v]:
+                m = 0
+                for u in rest:
+                    m |= bit[u]
+                mono = (m or -1) if forbid_mono and m & (m - 1) == 0 else 0  # -1: any
+                distinct = m if forbid_rainbow and m.bit_count() == len(rest) else -1
+                if mono or distinct != -1:
+                    found.append((w, forbidden[w], required[w], mono, distinct))
+            checks[depth] = found
         else:
             v = order[depth]
             part_used[part_of[v]] ^= bit[v]
             fresh = fresh_before[depth]
             todo = pending[depth]
-        if not todo:
+            found = checks[depth]
+        p = part_of[v]
+        while todo:
+            b = todo & -todo  # lowest class first
+            todo ^= b
+            nodes += 1
+            if nodes > budget:
+                return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
+            grown = fresh << 1 if b == fresh else fresh
+            span = (grown << 1) - 1
+            part_used[p] |= b
+            # Forward check: each w fed by v gets its saved masks tightened
+            # by b (edges closing at one w chain through f and r).  A fresh
+            # class is excluded only by `required`, which names used classes,
+            # so a w left with no class here has none further down either.
+            last = -1
+            for w, f0, r0, mono, distinct in found:
+                if w != last:
+                    f, r, last = f0, r0, w
+                f |= b & mono
+                if not distinct & b:
+                    r &= distinct | b
+                if not span & r & ~f & ~part_used[part_of[w]]:
+                    break
+                forbidden[w] = f
+                required[w] = r
+            else:
+                break  # b passed: descend with it
+            part_used[p] ^= b
+        else:  # no class left: restore the masks v's classes tightened
+            for w, f, r, _, _ in found:
+                forbidden[w] = f
+                required[w] = r
             if depth == 0:
                 return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
             depth -= 1
             descending = False
             continue
-        b = todo & -todo  # lowest class first
-        pending[depth] = todo ^ b
-        nodes += 1
-        if nodes > budget:
-            return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
         bit[v] = b
-        if b == fresh:
-            fresh <<= 1
-        part_used[part_of[v]] |= b
+        fresh = grown
+        pending[depth] = todo
         depth += 1
         descending = True
 

@@ -1,15 +1,18 @@
-"""Independent brute-force oracles, a disjoint union and seeded corpus
-generators.
+"""Independent brute-force oracles, reference kernels, a disjoint union and
+seeded corpus generators.
 
-Everything here re-derives expected values straight from the definitions,
+The oracles re-derive expected values straight from the definitions,
 without touching the library's incidence reduction or backtracking solver,
-so tests can compare two unrelated routes to the same answer.
+so tests can compare two unrelated routes to the same answer.  The
+reference kernels are earlier versions of optimised library code, kept so
+that tests can require the same results from the current version.
 """
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
 
+from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
 
 
@@ -141,6 +144,96 @@ def exhaustive_good_verdict(h: Hypergraph) -> tuple[str, tuple | None]:
         if ok:
             return "witness", rgs
     return "holds", None
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel: the solver without forward checking
+# ---------------------------------------------------------------------------
+
+
+def closing_vertex_search(
+    h: Hypergraph,
+    *,
+    forbid_mono: bool,
+    forbid_rainbow: bool,
+    groups,
+    budget: int,
+    order_strategy: str,
+) -> tuple[str, list[int] | None, int]:
+    """The colouring search as it was before forward checking: each edge is
+    checked only at its closing vertex, by a rescan of the edges it closes.
+
+    Returns ``(status, classes, nodes)``: ``classes`` lists the canonical
+    class of each vertex in ``h``'s vertex order for a witness, else None.
+    The forward-checking solver must give the same status and witness on
+    every case this decides, in no more nodes.
+    """
+    n = h.num_vertices
+    part_of = list(range(n))
+    if groups is not None:
+        for i, part in enumerate(groups):
+            for v in part:
+                part_of[h.index_of(v)] = i
+    part_used = [0] * n
+    order = search_order(h, order_strategy)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    closes = [[] for _ in range(n)]
+    for key in h.edge_index_tuples():
+        last = max(key, key=position.__getitem__)
+        closes[last].append(tuple(u for u in key if u != last))
+    bit = [0] * n
+    pending = [0] * n
+    fresh_before = [0] * n
+    fresh = 1
+    nodes = 0
+    depth = 0
+    descending = True
+    while True:
+        if descending:
+            if depth == n:
+                relabel: dict[int, int] = {}
+                classes = [relabel.setdefault(bit[i], len(relabel)) for i in range(n)]
+                return "witness_found", classes, nodes
+            v = order[depth]
+            forbidden = 0
+            required = -1
+            for others in closes[v]:
+                m = 0
+                for u in others:
+                    m |= bit[u]
+                if m & (m - 1) == 0:
+                    if forbid_mono:
+                        forbidden |= m
+                    if forbid_rainbow and len(others) == 1:
+                        required &= m
+                elif forbid_rainbow and m.bit_count() == len(others):
+                    required &= m
+            todo = ((fresh << 1) - 1) & required & ~forbidden & ~part_used[part_of[v]]
+            fresh_before[depth] = fresh
+        else:
+            v = order[depth]
+            part_used[part_of[v]] ^= bit[v]
+            fresh = fresh_before[depth]
+            todo = pending[depth]
+        if not todo:
+            if depth == 0:
+                return "property_holds", None, nodes
+            depth -= 1
+            descending = False
+            continue
+        b = todo & -todo
+        pending[depth] = todo ^ b
+        nodes += 1
+        if nodes > budget:
+            return "budget_exceeded", None, nodes
+        bit[v] = b
+        if b == fresh:
+            fresh <<= 1
+        part_used[part_of[v]] |= b
+        depth += 1
+        descending = True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from rmhyper.cli import run
 from rmhyper.coloring import (
     VerdictStatus,
     coloring_is_good,
-    enumerate_partitions,
     find_good_coloring,
     find_part_rainbow_bad,
 )
@@ -36,6 +35,7 @@ from rmhyper.randgen import (
 from oracles import (
     berge_girth_bruteforce,
     count_overlapping_pairs,
+    iter_rgs,
     random_graph,
     random_hypergraph,
     random_partite,
@@ -56,7 +56,7 @@ def test_criterion_01_unavoidable_base_case(tmp_path, capsys):
     built = load_path(str(out))
     ok &= built == complete_hypergraph(5, 3)
     # the exhaustive oracle walks all 52 canonical partitions, none good
-    partitions = list(enumerate_partitions(5))
+    partitions = list(iter_rgs(5))
     ok &= len(partitions) == 52
     keys = built.edge_index_tuples()
     good = [
@@ -137,7 +137,7 @@ def test_criterion_06_solver_oracle_equivalence():
         h = random_hypergraph(rng, max_vertices=8, max_edges=9)
         keys = h.edge_index_tuples()
         oracle_good = None
-        for rgs in enumerate_partitions(h.num_vertices):
+        for rgs in iter_rgs(h.num_vertices):
             if all(1 < len({rgs[i] for i in key}) < len(key) for key in keys):
                 oracle_good = rgs
                 break

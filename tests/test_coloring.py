@@ -9,11 +9,9 @@ from rmhyper.coloring import (
     Coloring,
     ColoringError,
     EdgeClass,
-    PartitionLimitError,
     VerdictStatus,
     classify_edge,
     coloring_is_good,
-    enumerate_partitions,
     find_good_coloring,
     find_part_rainbow_bad,
     has_rainbow_edge,
@@ -23,7 +21,15 @@ from rmhyper.coloring import (
 from rmhyper.construct import base_rainbow_path, build_part_rainbow_forced, complete_partite_factor
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 
-from oracles import bell_number, exhaustive_good_verdict, random_graph, random_hypergraph
+from oracles import (
+    bell_number,
+    closing_vertex_search,
+    exhaustive_good_verdict,
+    iter_rgs,
+    random_graph,
+    random_hypergraph,
+    random_partite,
+)
 
 
 def triple():
@@ -110,26 +116,24 @@ class TestColoringCanonicalForm:
 
 
 class TestEnumeratePartitions:
+    """The test oracles' partition enumerator, used by the brute-force checks."""
+
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 5), (5, 52)])
     def test_known_counts(self, n, count):
-        assert sum(1 for _ in enumerate_partitions(n)) == count
+        assert sum(1 for _ in iter_rgs(n)) == count
 
     def test_matches_bell_numbers(self):
         for n in range(9):
-            assert sum(1 for _ in enumerate_partitions(n)) == bell_number(n)
+            assert sum(1 for _ in iter_rgs(n)) == bell_number(n)
 
     def test_all_distinct_and_canonical(self):
-        seen = set(enumerate_partitions(6))
+        seen = set(iter_rgs(6))
         assert len(seen) == bell_number(6)
         for rgs in seen:
             top = 0
             for value in rgs:
                 assert 0 <= value <= top
                 top = max(top, value + 1)
-
-    def test_limit_enforced(self):
-        with pytest.raises(PartitionLimitError):
-            next(enumerate_partitions(16))
 
 
 class TestFindGoodColoring:
@@ -260,18 +264,10 @@ class TestPartRainbow:
         assert v.status is VerdictStatus.WITNESS_FOUND
         assert v.nodes == 1201
 
-    def test_verify_alias(self):
-        assert (
-            find_part_rainbow_bad(rainbow_path()).status
-            is VerdictStatus.PROPERTY_HOLDS
-        )
-
     def test_part_rainbow_exhausts_against_bruteforce(self):
         # brute force: enumerate partitions, filter part-rainbow, look for one
         # with no rainbow edge
         rng = random.Random(31)
-        from oracles import iter_rgs, random_partite
-
         for _ in range(40):
             p = random_partite(rng)
             n = p.num_vertices
@@ -347,33 +343,40 @@ def _pinned_instance(name):
 
 
 # Status, node count and SHA-256 prefix of the canonical coloring (classes in
-# vertex order) per instance and order, recorded from earlier kernels (the
-# recursive search, then the set-based loop) before each was replaced: the
-# search tree itself is pinned, not just the verdict.  "tail" packings run
-# under the benchmark's tail budget of 40,000 nodes.
+# vertex order) per instance and order: the search tree itself is pinned, not
+# just the verdict.  `before` is the status and node count of the
+# closing-vertex search without forward checking, recorded from the kernels
+# before it (the recursive search, then the set-based loop): forward checking
+# keeps every decided status and coloring and may only lower the count.  The
+# test ids keep naming these earlier pins.  "tail" packings run under the
+# benchmark's tail budget of 40,000 nodes.
+_PINS = [
+    ("AG(2,3)", "connectivity", "witness_found", 9, ("witness_found", 9), "25b8fcb31ea87885"),
+    ("AG(2,3)", "degree", "witness_found", 9, ("witness_found", 9), "25b8fcb31ea87885"),
+    ("STS(13)", "connectivity", "witness_found", 22, ("witness_found", 25), "8168b6c32f313bc8"),
+    ("STS(13)", "degree", "witness_found", 22, ("witness_found", 25), "8168b6c32f313bc8"),
+    ("PG(3,2)", "connectivity", "witness_found", 15, ("witness_found", 15), "152018b9ce7158e0"),
+    ("PG(3,2)", "degree", "witness_found", 15, ("witness_found", 15), "152018b9ce7158e0"),
+    ("packing19-1", "connectivity", "property_holds", 1928, ("property_holds", 3667), None),
+    ("packing19-1", "degree", "property_holds", 2528, ("property_holds", 5726), None),
+    ("packing21-2", "connectivity", "witness_found", 1088, ("witness_found", 1905), "3ed35099f86ed8e8"),
+    ("packing21-2", "degree", "witness_found", 1728, ("witness_found", 2817), "3ed35099f86ed8e8"),
+    ("packing22-3", "connectivity", "property_holds", 2497, ("property_holds", 5032), None),
+    ("packing22-3", "degree", "property_holds", 3869, ("property_holds", 8306), None),
+    ("pr(3,3)", "connectivity", "property_holds", 2890, ("property_holds", 8674), None),
+    ("pr(3,3)x4", "connectivity", "property_holds", 2890, ("property_holds", 8674), None),
+    ("pr(3,3)x6", "connectivity", "property_holds", 2890, ("property_holds", 8674), None),
+    ("tail41-1", "connectivity", "property_holds", 22220, ("budget_exceeded", 40001), None),
+    ("tail41-1", "degree", "property_holds", 22647, ("budget_exceeded", 40001), None),
+]
+
+
 @pytest.mark.parametrize(
-    "name,strategy,status,nodes,coloring_digest",
-    [
-        ("AG(2,3)", "connectivity", "witness_found", 9, "25b8fcb31ea87885"),
-        ("AG(2,3)", "degree", "witness_found", 9, "25b8fcb31ea87885"),
-        ("STS(13)", "connectivity", "witness_found", 25, "8168b6c32f313bc8"),
-        ("STS(13)", "degree", "witness_found", 25, "8168b6c32f313bc8"),
-        ("PG(3,2)", "connectivity", "witness_found", 15, "152018b9ce7158e0"),
-        ("PG(3,2)", "degree", "witness_found", 15, "152018b9ce7158e0"),
-        ("packing19-1", "connectivity", "property_holds", 3667, None),
-        ("packing19-1", "degree", "property_holds", 5726, None),
-        ("packing21-2", "connectivity", "witness_found", 1905, "3ed35099f86ed8e8"),
-        ("packing21-2", "degree", "witness_found", 2817, "3ed35099f86ed8e8"),
-        ("packing22-3", "connectivity", "property_holds", 5032, None),
-        ("packing22-3", "degree", "property_holds", 8306, None),
-        ("pr(3,3)", "connectivity", "property_holds", 8674, None),
-        ("pr(3,3)x4", "connectivity", "property_holds", 8674, None),
-        ("pr(3,3)x6", "connectivity", "property_holds", 8674, None),
-        ("tail41-1", "connectivity", "budget_exceeded", 40001, None),
-        ("tail41-1", "degree", "budget_exceeded", 40001, None),
-    ],
+    "name,strategy,status,nodes,before,coloring_digest",
+    _PINS,
+    ids=[f"{name}-{strategy}-{b[0]}-{b[1]}-{digest}" for name, strategy, _, _, b, digest in _PINS],
 )
-def test_pinned_search_tree(name, strategy, status, nodes, coloring_digest):
+def test_pinned_search_tree(name, strategy, status, nodes, before, coloring_digest):
     instance = _pinned_instance(name)
     budget = 40_000 if name.startswith("tail") else DEFAULT_BUDGET
     if isinstance(instance, PartiteHypergraph):
@@ -381,8 +384,73 @@ def test_pinned_search_tree(name, strategy, status, nodes, coloring_digest):
     else:
         v = find_good_coloring(instance, budget=budget, order_strategy=strategy)
     assert (v.status.value, v.nodes) == (status, nodes)
+    before_status, before_nodes = before
+    assert nodes <= before_nodes
+    if before_status != "budget_exceeded":
+        assert status == before_status
     if coloring_digest is None:
         assert v.coloring is None
     else:
         classes = [v.coloring.assignment[x] for x in instance.vertices]
         assert hashlib.sha256(repr(classes).encode()).hexdigest()[:16] == coloring_digest
+
+
+def _assert_no_worse_than_closing_vertex_search(instance, budget, strategy):
+    """Status, canonical witness and node bound against the reference kernel,
+    whenever the reference decides; returns the reference's result."""
+    if isinstance(instance, PartiteHypergraph):
+        h, groups, forbid_mono = instance.base, instance.parts, False
+        v = find_part_rainbow_bad(instance, budget=budget, order_strategy=strategy)
+    else:
+        h, groups, forbid_mono = instance, None, True
+        v = find_good_coloring(instance, budget=budget, order_strategy=strategy)
+    ref = closing_vertex_search(
+        h, forbid_mono=forbid_mono, forbid_rainbow=True, groups=groups, budget=budget, order_strategy=strategy
+    )
+    status, classes, nodes = ref
+    if status != "budget_exceeded":
+        assert v.status.value == status
+        assert (v.coloring and [v.coloring.assignment[x] for x in h.vertices]) == classes
+        assert v.nodes <= nodes
+    return ref
+
+
+def _forward_check_corpus():
+    rng = random.Random(706)
+    for i in range(360):
+        if i % 3 == 2:
+            yield random_partite(rng, max_parts=4, max_part_size=4, max_edges=10)
+        else:
+            yield random_hypergraph(rng, max_vertices=9, max_edges=12, max_edge_size=2 + i % 3)
+
+
+def test_forward_checking_matches_the_closing_vertex_search():
+    decided = 0
+    for instance in _forward_check_corpus():
+        for budget in (5, 50, 10**6):
+            for strategy in ("connectivity", "degree"):
+                status, _, _ = _assert_no_worse_than_closing_vertex_search(instance, budget, strategy)
+                decided += status != "budget_exceeded"
+    assert decided >= 1500
+
+
+@pytest.mark.parametrize("strategy,reference_nodes", [("connectivity", 132_536), ("degree", 303_319)])
+def test_tail_packing_holds_without_forward_checking(strategy, reference_nodes):
+    # the first instance forward checking newly decides within the tail budget
+    h = linear_packing(41, 1)
+    for budget in (5, 50, 10**6):
+        ref = _assert_no_worse_than_closing_vertex_search(h, budget, strategy)
+    assert ref == ("property_holds", None, reference_nodes)
+
+
+def test_forward_check_through_the_part_of_the_closing_vertex():
+    # Order 4, 2, 0, 1, 3.  Edge {3, 4} makes 3 repeat 4's class.  When 2,
+    # 3's part-mate, has taken that class, edge {0, 3, 4} (fed by 0) leaves 3
+    # no class through its part alone, so every class of 0 is rejected there
+    # instead of at 3, one node less.
+    h = Hypergraph(range(5), [(0, 2, 4), (0, 3, 4), (1, 2), (1, 2, 4), (3, 4)])
+    p = PartiteHypergraph(h, [(0, 1), (2, 3), (4,)])
+    assert search_order(h) == [4, 2, 0, 1, 3]
+    ref = _assert_no_worse_than_closing_vertex_search(p, DEFAULT_BUDGET, "connectivity")
+    assert ref == ("witness_found", [0, 1, 1, 0, 0], 9)
+    assert find_part_rainbow_bad(p).nodes == 8
