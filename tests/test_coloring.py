@@ -264,6 +264,13 @@ class TestPartRainbow:
         assert v.status is VerdictStatus.WITNESS_FOUND
         assert v.nodes == 1201
 
+    def test_verify_alias(self):
+        for strategy in ("connectivity", "degree"):
+            assert (
+                find_part_rainbow_bad(rainbow_path(), order_strategy=strategy).status
+                is VerdictStatus.PROPERTY_HOLDS
+            )
+
     def test_part_rainbow_exhausts_against_bruteforce(self):
         # brute force: enumerate partitions, filter part-rainbow, look for one
         # with no rainbow edge
