@@ -7,11 +7,12 @@ under renaming colors, so this collapses the n^n coloring space to
 Bell-number scale without losing completeness.
 
 Vertices are colored in a static order (``search_order``, built with a
-lazy heap), so at depth d exactly the first d vertices of that order are
-colored.  An edge whose other vertices share one class may not have its
-closing vertex w (its last in the order) take that class (monochromatic);
-one whose other vertices are pairwise distinct must have w reuse one of them
-(rainbow).  Only the rules matching the forbidden edge kinds are active.
+lazy heap; by default each next vertex is one that closes the most edges),
+so at depth d exactly the first d vertices of that order are colored.  An
+edge whose other vertices share one class may not have its closing vertex w
+(its last in the order) take that class (monochromatic); one whose other
+vertices are pairwise distinct must have w reuse one of them (rainbow).
+Only the rules matching the forbidden edge kinds are active.
 They are applied by forward checking (Haralick and Elliott, 1980): each class
 tried for the edge's second-to-last vertex tightens w's forbidden and
 required classes, and is rejected at once if w has none left; w's own
@@ -145,12 +146,14 @@ def is_part_rainbow(p: PartiteHypergraph, coloring: Coloring | Mapping[VertexId,
 def search_order(h: Hypergraph, strategy: str = "connectivity") -> list[int]:
     """Static vertex order for the solver, as canonical vertex positions.
 
-    ``connectivity`` (default) repeatedly takes the vertex sharing the most
-    edges with already-ordered vertices (ties: higher degree, then canonical
-    position), which makes each edge's last vertex arrive soon after the
-    rest.  It is built with a lazy max-heap: a vertex is pushed again each
-    time its score rises, and entries whose score is stale are skipped, so
-    the order costs O(sum of squared edge sizes * log) rather than O(n^2).
+    ``connectivity`` (default) repeatedly takes the vertex that closes the
+    most edges, being the only one of them not yet ordered (ties: the most
+    already-ordered vertices over its edges, higher degree, canonical
+    position).  An edge's last two vertices then tend to come together, so
+    forward checking fires early; for graphs the first two keys are equal.
+    It is built with a lazy max-heap: a vertex is pushed again each time its
+    counts rise, and stale entries are skipped, so the order costs O(sum of
+    squared edge sizes * log) rather than O(n^2).
     ``degree`` sorts by descending degree alone.  Heuristic only: verdicts
     never depend on the order.
     """
@@ -166,21 +169,25 @@ def search_order(h: Hypergraph, strategy: str = "connectivity") -> list[int]:
         for vi in key:
             incident[vi].append(pos)
     score = [0] * n
+    closes = [0] * n  # edges in which the vertex is the only one not yet ordered
+    left = [len(key) for key in edges]  # per edge: its vertices not yet ordered
     placed = [False] * n
-    heap = [(0, -degrees[i], i) for i in range(n)]  # (-score, -degree, position)
+    heap = [(0, 0, -degrees[i], i) for i in range(n)]  # (-closes, -score, -degree, position)
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
-        neg_score, _, best = heapq.heappop(heap)
-        if -neg_score != score[best]:
-            continue  # stale: pushed before the vertex's score last rose
+        neg_closes, neg_score, _, best = heapq.heappop(heap)
+        if -neg_closes != closes[best] or -neg_score != score[best]:
+            continue  # stale: pushed before one of the vertex's counts last rose
         order.append(best)
         placed[best] = True
         for pos in incident[best]:
+            left[pos] -= 1
             for u in edges[pos]:
                 if not placed[u]:
                     score[u] += 1
-                    heapq.heappush(heap, (-score[u], -degrees[u], u))
+                    closes[u] += left[pos] == 1
+                    heapq.heappush(heap, (-closes[u], -score[u], -degrees[u], u))
     return order
 
 

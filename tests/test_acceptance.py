@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Every check is exact; the stated wall-clock limits are asserted
 too (all are generous for this implementation).
 """
+import json
 import random
 import time
 from itertools import combinations
 
 from rmhyper.cli import run
 from rmhyper.coloring import (
+    DEFAULT_BUDGET,
     VerdictStatus,
     coloring_is_good,
     find_good_coloring,
@@ -34,6 +36,7 @@ from rmhyper.randgen import (
 
 from oracles import (
     berge_girth_bruteforce,
+    closing_vertex_search,
     count_overlapping_pairs,
     iter_rgs,
     random_graph,
@@ -247,3 +250,35 @@ def test_criterion_13_three_uniform_girth_eight_from_the_quadrangle():
     ok = est.exact and (est.vertices, est.edges) == (pr.num_vertices, pr.num_edges) == (3120, 1872)
     ok &= pr.base.is_uniform(3)
     report(13, "pr(3, 8) builds exactly as estimated and verifies girth >= 8", ok, time.time() - t0, 2)
+
+
+def test_criterion_14_three_uniform_girth_four_rainbow_forced(tmp_path, capsys):
+    t0 = time.time()
+    pr = build_part_rainbow_forced(3, 4)
+    ok = pr.num_vertices == 120 and pr.base.is_uniform(3)
+    verdict = find_part_rainbow_bad(pr)
+    ok &= verdict.status is VerdictStatus.PROPERTY_HOLDS
+    # the same verdict from the closing-vertex search without forward checking
+    status, _, reference_nodes = closing_vertex_search(
+        pr.base,
+        forbid_mono=False,
+        forbid_rainbow=True,
+        groups=pr.parts,
+        budget=DEFAULT_BUDGET,
+        order_strategy="connectivity",
+    )
+    ok &= status == "property_holds" and verdict.nodes <= reference_nodes
+    out = tmp_path / "pr34.json"
+    ok &= run(["construct", "pr", "--r", "3", "--g", "4", "-o", str(out)]) == 0
+    capsys.readouterr()
+    ok &= run(["solve", "part-rainbow", str(out)]) == 1
+    solved = json.loads(capsys.readouterr().out)
+    ok &= (solved["status"], solved["nodes"]) == ("property_holds", verdict.nodes)
+    report(
+        14,
+        f"120-vertex pr(3, 4) is part-rainbow-forced ({verdict.nodes} nodes, "
+        f"{reference_nodes} without forward checking), also through the CLI",
+        ok,
+        time.time() - t0,
+        60,
+    )
