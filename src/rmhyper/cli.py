@@ -131,11 +131,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             meta.update({"parts": args.parts, "input": args.input})
             factor, _ = complete_partite_factor(loaded, args.parts)
             _emit(factor, meta, args.output)
-    except SizeLimitError as exc:
-        est = exc.estimate
-        size = "astronomical" if est.astronomical else f"{est.vertices} vertices / {est.edges} edges"
-        print(f"refused: {exc} [estimate: {size}]", file=sys.stderr)
-        return EXIT_LIMIT
     except (SupplierError, HypergraphError, ValueError) as exc:
         raise CliError(str(exc), EXIT_LIMIT if isinstance(exc, SupplierError) else EXIT_BAD_INPUT)
     return EXIT_WITNESS
@@ -340,6 +335,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except SizeLimitError as exc:
+        est = exc.estimate
+        size = "astronomical" if est.astronomical else f"{est.vertices} vertices / {est.edges} edges"
+        print(f"refused: {exc} [estimate: {size}]", file=sys.stderr)
+        return EXIT_LIMIT
     except (HypergraphError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

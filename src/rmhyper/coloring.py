@@ -12,11 +12,14 @@ so at depth d exactly the first d vertices of that order are colored.  An
 edge whose other vertices share one class may not have its closing vertex w
 (its last in the order) take that class (monochromatic); one whose other
 vertices are pairwise distinct must have w reuse one of them (rainbow).
-Only the rules matching the forbidden edge kinds are active.
-They are applied by forward checking (Haralick and Elliott, 1980): each class
-tried for the edge's second-to-last vertex tightens w's forbidden and
-required classes, and is rejected at once if w has none left; w's own
-candidates are then read off those masks.  Masks only tighten deeper down,
+The rainbow rule is always active, the monochromatic one only in the search
+for good colorings.  The rules are applied by forward checking (Haralick and
+Elliott, 1980): each class tried for the edge's second-to-last vertex reads
+the classes of the edge's other vertices, narrows w's allowed classes in
+place, and is rejected at once if w has none left; w's own candidates are
+then read off that mask.  For a 3-uniform edge this costs one class lookup.
+Every overwritten mask goes onto one trail, which is unwound to a depth's
+mark before the depth tries its next class.  Masks only narrow deeper down,
 so the first witness is the one a check at w alone would find, in no more
 nodes.  A set of classes is one int with a bit per class, and the search is
 one loop over an explicit stack, so its depth has no recursion limit.
@@ -195,7 +198,6 @@ def _backtrack(
     h: Hypergraph,
     *,
     forbid_mono: bool,
-    forbid_rainbow: bool,
     groups: Sequence[Sequence[VertexId]] | None,
     budget: int,
     order_strategy: str,
@@ -218,23 +220,27 @@ def _backtrack(
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    # feeds[v]: (w, rest) for each edge whose last two vertices in `order`
-    # are v and then w, sorted so that the edges closing at one w are adjacent
-    feeds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    # feeds[v]: (w, u, part of w) for each edge whose last two vertices in
+    # `order` are v and then w; u is the rest's one vertex, or ~i for rests[i]
+    feeds: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    rests: list[tuple[int, ...]] = []
     for key in h.edge_index_tuples():
         *rest, v, w = sorted(key, key=position.__getitem__)
-        feeds[v].append((w, tuple(rest)))
-    for fed in feeds:
-        fed.sort()
+        if len(rest) == 1:
+            u = rest[0]
+        else:
+            u = ~len(rests)
+            rests.append(tuple(rest))
+        feeds[v].append((w, u, part_of[w]))
 
-    forbidden = [0] * n  # classes a vertex may not take, from the edges it closes
-    required = [-1] * n  # classes it must take one of (-1: any)
+    keep_mono = 0 if forbid_mono else -1  # widens a mono rule to nothing
+    # allowed[w]: the classes w may take, from the edges it closes (-1: any)
+    allowed = [-1] * n
     bit = [0] * n  # 1 << class of each colored vertex
     pending = [0] * n  # per depth: classes not yet tried
     fresh_before = [0] * n  # `fresh` on entering each depth
-    # per depth, per edge v feeds: (w, w's masks before v, the classes of v
-    # making it monochromatic, the rest's classes if pairwise distinct or -1)
-    checks: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
+    marks = [0] * n  # per depth: the trail's length on entering it
+    trail: list[int] = []  # w, allowed[w] before each write, flat
     fresh = 1  # the bit of the class a vertex would open
     nodes = 0
     depth = 0
@@ -245,56 +251,61 @@ def _backtrack(
                 assignment = {h.vertices[i]: bit[i].bit_length() - 1 for i in range(n)}
                 return Verdict(VerdictStatus.WITNESS_FOUND, Coloring.from_assignment(h, assignment), nodes)
             v = order[depth]
-            todo = ((fresh << 1) - 1) & required[v] & ~forbidden[v] & ~part_used[part_of[v]]
+            todo = ((fresh << 1) - 1) & allowed[v] & ~part_used[part_of[v]]
             fresh_before[depth] = fresh
-            found = []
-            for w, rest in feeds[v]:
-                m = 0
-                for u in rest:
-                    m |= bit[u]
-                mono = (m or -1) if forbid_mono and m & (m - 1) == 0 else 0  # -1: any
-                distinct = m if forbid_rainbow and m.bit_count() == len(rest) else -1
-                if mono or distinct != -1:
-                    found.append((w, forbidden[w], required[w], mono, distinct))
-            checks[depth] = found
+            mark = marks[depth] = len(trail)
         else:
             v = order[depth]
+            mark = marks[depth]
             part_used[part_of[v]] ^= bit[v]
             fresh = fresh_before[depth]
             todo = pending[depth]
-            found = checks[depth]
         p = part_of[v]
+        fed = feeds[v]
         while todo:
             b = todo & -todo  # lowest class first
             todo ^= b
             nodes += 1
             if nodes > budget:
                 return Verdict(VerdictStatus.BUDGET_EXCEEDED, None, nodes)
+            while len(trail) > mark:  # undo the writes of the class tried last
+                a = trail.pop()
+                allowed[trail.pop()] = a
             grown = fresh << 1 if b == fresh else fresh
             span = (grown << 1) - 1
             part_used[p] |= b
-            # Forward check: each w fed by v gets its saved masks tightened
-            # by b (edges closing at one w chain through f and r).  A fresh
-            # class is excluded only by `required`, which names used classes,
-            # so a w left with no class here has none further down either.
-            last = -1
-            for w, f0, r0, mono, distinct in found:
-                if w != last:
-                    f, r, last = f0, r0, w
-                f |= b & mono
-                if not distinct & b:
-                    r &= distinct | b
-                if not span & r & ~f & ~part_used[part_of[w]]:
+            not_b = ~b | keep_mono
+            # Forward check: b narrows the classes of each w that v feeds, and
+            # is rejected if one is left with none.  A fresh class is ruled
+            # out only by a rainbow rule, which keeps used classes, so a w
+            # with no class here has none further down either.
+            for w, u, q in fed:
+                a = allowed[w]
+                if u >= 0:  # one rest vertex: mono if it has b, else rainbow
+                    c = bit[u]
+                    na = a & not_b if c == b else a & (c | b)
+                else:
+                    rest = rests[~u]
+                    m = 0
+                    for x in rest:
+                        m |= bit[x]
+                    is_mono = forbid_mono and m & (m - 1) == 0
+                    distinct = m.bit_count() == len(rest)
+                    if not (is_mono or distinct):
+                        continue  # the rest's classes rule nothing out
+                    na = a & ~(b & (m or -1)) if is_mono else a
+                    if distinct and not m & b:
+                        na &= m | b
+                if not span & na & ~part_used[q]:
                     break
-                forbidden[w] = f
-                required[w] = r
+                if na != a:
+                    trail.append(w)
+                    trail.append(a)
+                    allowed[w] = na
             else:
                 break  # b passed: descend with it
             part_used[p] ^= b
-        else:  # no class left: restore the masks v's classes tightened
-            for w, f, r, _, _ in found:
-                forbidden[w] = f
-                required[w] = r
+        else:  # no class left; a shallower depth undoes this one's writes
             if depth == 0:
                 return Verdict(VerdictStatus.PROPERTY_HOLDS, None, nodes)
             depth -= 1
@@ -322,7 +333,6 @@ def find_good_coloring(
     verdict = _backtrack(
         h,
         forbid_mono=True,
-        forbid_rainbow=True,
         groups=None,
         budget=budget,
         order_strategy=order_strategy,
@@ -347,7 +357,6 @@ def find_part_rainbow_bad(
     verdict = _backtrack(
         p.base,
         forbid_mono=False,
-        forbid_rainbow=True,
         groups=p.parts,
         budget=budget,
         order_strategy=order_strategy,

@@ -2,10 +2,12 @@
 
 JSON schema: ``{"vertices": [...], "edges": [[...], ...], "parts": [[...], ...]?}``
 with an optional ``"meta"`` object that loaders preserve but ignore.  Vertex
-ids may be strings or integers.  Dumps are canonical: keys sorted, each edge
-and part listed in canonical vertex order, edges sorted lexicographically by
-vertex position, so equal values serialise to identical bytes.  The loader
-re-runs full validation.  DOT export renders the bipartite incidence graph
+ids are strings or integers (not booleans), and no two ids may have the same
+text form, such as ``1`` and ``"1"``: reports and DOT output name vertices by
+that text.  Dumps are canonical: keys sorted, each edge and part listed in
+canonical vertex order, edges sorted lexicographically by vertex position, so
+equal values serialise to identical bytes.  The loader re-runs full
+validation.  DOT export renders the bipartite incidence graph
 (vertex nodes vs edge nodes) and is one-way.
 """
 from __future__ import annotations
@@ -47,6 +49,16 @@ def from_json_dict(doc: dict[str, Any]) -> Hypergraph | PartiteHypergraph:
             raise FormatError(f"missing required key {key!r}")
         if not isinstance(doc[key], list):
             raise FormatError(f"key {key!r} must be a list")
+    ids = doc["vertices"]
+    kinds = set(map(type, ids))
+    if not kinds <= {str, int}:
+        bad = next(v for v in ids if type(v) not in (str, int))
+        raise FormatError(f"vertex id {bad!r} is not a string or an integer")
+    if len(kinds) == 2:  # only an int and a string can share a text form
+        texts = {str(v) for v in ids if type(v) is int}
+        clash = next((v for v in ids if type(v) is str and v in texts), None)
+        if clash is not None:
+            raise FormatError(f"vertex ids {int(clash)!r} and {clash!r} have the same text form")
     try:
         h = Hypergraph(doc["vertices"], doc["edges"])
         if "parts" in doc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
+from .construct import BuildLimits, SizeEstimate, SizeLimitError
 from .core import Hypergraph, HypergraphError, validate_uniformity
 from .girth import girth
 
@@ -83,7 +84,9 @@ def random_high_girth(
     ``require_target`` the miss raises RetryLimitError instead.  At desk
     scale the guarantee behind the target does not yet bind, so misses are
     expected for small n.  ``min_edges`` overrides the acceptance threshold
-    (the reported target is unchanged).
+    (the reported target is unchanged).  A sample of more edges than the
+    default ``BuildLimits().max_edges`` raises SizeLimitError before any is
+    drawn.
     """
     validate_uniformity(uniformity)
     if n < uniformity:
@@ -96,6 +99,12 @@ def random_high_girth(
     target = ceil_power(n, g + 1, g)
     available = comb(n, uniformity)
     m = min(2 * target, available)
+    limit = BuildLimits().max_edges
+    if m > limit:
+        raise SizeLimitError(
+            f"a carrier sample of {m} edges exceeds the limit of {limit} edges",
+            SizeEstimate(n, m, astronomical=False, exact=True),
+        )
     threshold = target if min_edges is None else min_edges
 
     best: CarrierSample | None = None

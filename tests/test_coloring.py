@@ -419,7 +419,8 @@ def test_pinned_search_tree(name, strategy, status, nodes, before, coloring_dige
 
 def _assert_no_worse_than_closing_vertex_search(instance, budget, strategy):
     """Status, canonical witness and node bound against the reference kernel,
-    whenever the reference decides; returns the reference's result."""
+    whenever the reference decides.  Returns the reference's result and the
+    kernel's, each as (status, witness classes or None, nodes)."""
     if isinstance(instance, PartiteHypergraph):
         h, groups, forbid_mono = instance.base, instance.parts, False
         v = find_part_rainbow_bad(instance, budget=budget, order_strategy=strategy)
@@ -429,12 +430,12 @@ def _assert_no_worse_than_closing_vertex_search(instance, budget, strategy):
     ref = closing_vertex_search(
         h, forbid_mono=forbid_mono, forbid_rainbow=True, groups=groups, budget=budget, order_strategy=strategy
     )
+    got = (v.status.value, v.coloring and [v.coloring.assignment[x] for x in h.vertices], v.nodes)
     status, classes, nodes = ref
     if status != "budget_exceeded":
-        assert v.status.value == status
-        assert (v.coloring and [v.coloring.assignment[x] for x in h.vertices]) == classes
+        assert got[:2] == (status, classes)
         assert v.nodes <= nodes
-    return ref
+    return ref, got
 
 
 def _forward_check_corpus():
@@ -446,14 +447,24 @@ def _forward_check_corpus():
             yield random_hypergraph(rng, max_vertices=9, max_edges=12, max_edge_size=2 + i % 3)
 
 
+# One digest of every run's (status, witness classes, nodes) on the corpus.
+# The corpus mixes edge sizes 2-4 and partite instances, so this pins the
+# forward check's general rule (rests of 0 or 2+ vertices) beside the
+# one-vertex rule of 3-uniform edges: node counts must match exactly.
+FORWARD_CHECK_CORPUS_DIGEST = "67321aacce111622c26b8d38cbdb20053fcff094f8a253231c6a9312e6fbe150"
+
+
 def test_forward_checking_matches_the_closing_vertex_search():
     decided = 0
+    runs = []
     for instance in _forward_check_corpus():
         for budget in (5, 50, 10**6):
             for strategy in ("connectivity", "degree"):
-                status, _, _ = _assert_no_worse_than_closing_vertex_search(instance, budget, strategy)
-                decided += status != "budget_exceeded"
+                ref, got = _assert_no_worse_than_closing_vertex_search(instance, budget, strategy)
+                decided += ref[0] != "budget_exceeded"
+                runs.append(got)
     assert decided >= 1500
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == FORWARD_CHECK_CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("strategy,reference_nodes", [("connectivity", 5_767), ("degree", 303_319)])
@@ -463,7 +474,7 @@ def test_tail_packing_holds_without_forward_checking(strategy, reference_nodes):
     # without forward checking decides it within that budget too.
     h = linear_packing(41, 1)
     for budget in (5, 50, 10**6):
-        ref = _assert_no_worse_than_closing_vertex_search(h, budget, strategy)
+        ref, _ = _assert_no_worse_than_closing_vertex_search(h, budget, strategy)
     assert ref == ("property_holds", None, reference_nodes)
 
 
@@ -476,6 +487,6 @@ def test_forward_check_through_the_part_of_the_closing_vertex():
     h = Hypergraph(range(4), [(0, 1), (1, 2), (2, 3)])
     p = PartiteHypergraph(h, [(0,), (1, 3), (2,)])
     assert search_order(h) == [1, 2, 0, 3]
-    ref = _assert_no_worse_than_closing_vertex_search(p, DEFAULT_BUDGET, "connectivity")
+    ref, _ = _assert_no_worse_than_closing_vertex_search(p, DEFAULT_BUDGET, "connectivity")
     assert ref == ("property_holds", None, 3)
     assert find_part_rainbow_bad(p).nodes == 2

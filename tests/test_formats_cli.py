@@ -53,6 +53,17 @@ class TestJson:
         with pytest.raises(FormatError, match="line 2"):
             loads('{"vertices": [0, 1],\n "edges": [[0, 1],]}')
 
+    @pytest.mark.parametrize("bad", ["null", "1.5", "true", "[1]"])
+    def test_vertex_ids_are_strings_or_integers(self, bad):
+        with pytest.raises(FormatError, match="not a string or an integer"):
+            loads(f'{{"vertices": [0, {bad}], "edges": []}}')
+
+    def test_vertex_ids_with_one_text_form_are_refused(self):
+        with pytest.raises(FormatError, match="same text form"):
+            loads('{"vertices": [1, "1", 2], "edges": [[1, "1", 2]]}')
+        mixed = loads('{"vertices": [1, "a", 2], "edges": [[1, "a", 2]]}')
+        assert mixed.vertices == (1, "a", 2)
+
     def test_missing_keys(self):
         with pytest.raises(FormatError, match="vertices"):
             from_json_dict({"edges": []})
@@ -167,6 +178,16 @@ class TestCli:
         meta = json.loads(a.read_text())["meta"]
         assert meta["edge_target"] == 28
 
+    @pytest.mark.parametrize("argv", [["carrier", "--R", "3"], ["search", "--r", "3"]])
+    def test_random_refuses_an_oversized_sample(self, tmp_path, capsys, argv):
+        # 2 * ceil(100000^(4/3)) edges would be drawn before any check
+        out = tmp_path / "x.json"
+        code = run(["random"] + argv + ["--n", "100000", "--g", "3", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("refused: a carrier sample of 9283178 edges")
+        assert not out.exists()
+
     def test_random_search_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         code = run(
@@ -222,6 +243,16 @@ class TestCli:
         assert run(["girth", str(bad)]) == 3
         assert run(["solve", "part-rainbow", str(bad)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["solve", "good", "{}"], ["convert", "{}", "--dot"]])
+    def test_colliding_vertex_ids_are_bad_input(self, tmp_path, capsys, argv):
+        # 1 and "1" would be one key of a solve report and one DOT node
+        f = tmp_path / "collide.json"
+        f.write_text('{"vertices": [1, "1", 2], "edges": [[1, "1", 2]]}')
+        out = tmp_path / "out"
+        assert run([a.format(f) for a in argv] + ["-o", str(out)]) == 3
+        assert "same text form" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_errors_do_not_collide_with_budget_exit(self, capsys):
         assert run(["construct", "pr"]) == 3  # missing --r/--g
