@@ -1,0 +1,5 @@
+"""``python -m rmhyper``: the ``rmhyper`` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -39,7 +39,7 @@ class Hypergraph:
     positions), so equal values produce identical serialisations.
     """
 
-    __slots__ = ("_vertices", "_vindex", "_edges", "_edge_indices", "_incidence")
+    __slots__ = ("_vertices", "_vindex", "_edges", "_edge_indices", "_degrees")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Iterable[VertexId]]):
         vs = tuple(vertices)
@@ -70,11 +70,11 @@ class Hypergraph:
         self._vindex = vindex
         self._edges = tuple(edge for _, edge in keyed)
         self._edge_indices = tuple(key for key, _ in keyed)
-        incidence: dict[VertexId, list[int]] = {v: [] for v in vs}
-        for pos, edge in enumerate(self._edges):
-            for v in edge:
-                incidence[v].append(pos)
-        self._incidence = {v: tuple(ps) for v, ps in incidence.items()}
+        degrees = [0] * len(vs)
+        for key in self._edge_indices:
+            for i in key:
+                degrees[i] += 1
+        self._degrees = tuple(degrees)
 
     # -- basic accessors -------------------------------------------------
 
@@ -107,15 +107,13 @@ class Hypergraph:
 
     def degree(self, v: VertexId) -> int:
         """Number of edges containing ``v``."""
-        if v not in self._incidence:
-            raise HypergraphError(f"unknown vertex {v!r}")
-        return len(self._incidence[v])
+        return self._degrees[self.index_of(v)]
 
     def edges_containing(self, v: VertexId) -> tuple[int, ...]:
-        """Canonical positions of the edges containing ``v``."""
-        if v not in self._incidence:
-            raise HypergraphError(f"unknown vertex {v!r}")
-        return self._incidence[v]
+        """Canonical positions of the edges containing ``v``, by a scan of
+        every edge."""
+        i = self.index_of(v)
+        return tuple(pos for pos, key in enumerate(self._edge_indices) if i in key)
 
     def is_uniform(self, r: int) -> bool:
         """True iff every edge has exactly ``r`` vertices (vacuously true)."""

@@ -6,10 +6,14 @@ is computed on the bipartite incidence graph (vertex nodes vs edge nodes): a
 hypergraph cycle of length g corresponds exactly to an incidence cycle of
 length 2g, which turns the problem into a standard shortest-cycle BFS and
 handles length-2 cycles (two edges sharing two vertices) uniformly.
+
+A union-find run while the incidence graph is built tells a forest (infinite
+girth) apart.  Otherwise each vertex root costs one BFS, which stops at the
+first layer that cannot close a walk shorter than the best one found so far;
+the witness is read off the BFS tree of the root that found the shortest.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
@@ -102,94 +106,86 @@ class GirthResult:
     witness: CycleWitness | None
 
 
-def _incidence_adjacency(h: Hypergraph) -> tuple[list[list[int]], int]:
-    """Adjacency lists of the incidence graph.
+def _incidence_adjacency(h: Hypergraph) -> tuple[list[list[int]], bool]:
+    """Adjacency lists of the incidence graph, and whether it is a forest.
 
-    Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges.
+    Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges.  The graph stays a
+    forest exactly while every edge node joins vertices of distinct
+    components, which a union-find over vertex positions tracks.
     """
     n = h.num_vertices
-    adj: list[list[int]] = [[] for _ in range(n + h.num_edges)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    comp = list(range(n))
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    forest = True
     for pos, key in enumerate(h.edge_index_tuples()):
         enode = n + pos
         for vi in key:
             adj[vi].append(enode)
-            adj[enode].append(vi)
-    return adj, n
-
-
-def _is_forest(adj: list[list[int]]) -> bool:
-    total = len(adj)
-    seen = [False] * total
-    nodes = 0
-    deg_sum = 0
-    components = 0
-    for start in range(total):
-        if seen[start]:
-            continue
-        components += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            nodes += 1
-            deg_sum += len(adj[u])
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    edges = deg_sum // 2
-    return edges == nodes - components
+        adj.append(list(key))
+        if forest:
+            roots = {find(vi) for vi in key}
+            forest = len(roots) == len(key)
+            top = roots.pop()
+            for other in roots:
+                comp[other] = top
+    return adj, forest
 
 
 def _scan_from_root(
-    adj: list[list[int]], root: int, depth_cap: int, best: int
+    adj: list[list[int]], root: int, bound: int, level: list[int], parent: list[int], base: int
 ) -> tuple[int, int, int] | None:
-    """BFS from ``root`` looking for a closed walk shorter than ``best``.
+    """BFS from ``root`` for a closed walk shorter than ``bound``.
 
-    Returns (length, u, w) for the best non-tree edge found, or None.
-    Deterministic: adjacency lists are scanned in canonical order and ties
-    keep the first find.
+    ``level`` and ``parent`` are shared by every root of one girth() call: a
+    node reached at depth d gets level ``base + d``, so levels below ``base``
+    are left over from earlier roots and count as unseen.  Expanding a node
+    at depth d closes walks of length 2d + 2 only (the incidence graph is
+    bipartite, and shorter closings were seen from the other end a layer
+    earlier), so the scan stops at the first layer with 2d + 2 >= bound.  In
+    the first layer that closes a walk it still finishes the layer and
+    returns (2d + 2, u, w) with u < w the smallest closing pair of nodes;
+    None if no layer closes one.
     """
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = deque([root])
-    found: tuple[int, int, int] | None = None
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if 2 * du + 1 >= best:
-            break
-        for w in adj[u]:
-            if w == parent[u]:
-                continue
-            dw = dist.get(w)
-            if dw is None:
-                if du + 1 <= depth_cap:
-                    dist[w] = du + 1
+    level[root] = base
+    parent[root] = -1
+    layer = [root]
+    depth = 0
+    while layer and 2 * depth + 2 < bound:
+        below = base + depth + 1
+        nxt: list[int] = []
+        closing: tuple[int, int] | None = None
+        for u in layer:
+            for w in adj[u]:
+                lw = level[w]
+                if lw < base:
+                    level[w] = below
                     parent[w] = u
-                    queue.append(w)
-            else:
-                length = du + dw + 1
-                if length < best:
-                    best = length
-                    found = (length, u, w)
-    return found
+                    nxt.append(w)
+                elif lw == below:
+                    pair = (u, w) if u < w else (w, u)
+                    if closing is None or pair < closing:
+                        closing = pair
+        if closing is not None:
+            return (2 * depth + 2, *closing)
+        layer = nxt
+        depth += 1
+    return None
 
 
-def _bfs_tree(adj: list[list[int]], root: int, depth_cap: int) -> tuple[dict[int, int], dict[int, int]]:
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= depth_cap:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    return dist, parent
+def _path_to(parent: list[int], node: int) -> list[int]:
+    out = [node]
+    while parent[node] != -1:
+        node = parent[node]
+        out.append(node)
+    out.reverse()
+    return out
 
 
 def _extract_simple_cycle(walk: list[int]) -> list[int]:
@@ -202,31 +198,7 @@ def _extract_simple_cycle(walk: list[int]) -> list[int]:
     raise AssertionError("closed walk contains no repeat")
 
 
-def _witness_from_incidence(
-    h: Hypergraph, adj: list[list[int]], n: int, root: int, depth_cap: int, target: int
-) -> CycleWitness:
-    dist, parent = _bfs_tree(adj, root, depth_cap)
-    best: tuple[int, int, int] | None = None
-    for u in sorted(dist):
-        for w in adj[u]:
-            if w == parent[u] or parent.get(w) == u or w not in dist:
-                continue
-            length = dist[u] + dist[w] + 1
-            cand = (length, u, w)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None and best[0] == target, "witness rebuild disagrees with scan"
-    _, u, w = best
-
-    def path_to(node: int) -> list[int]:
-        out = [node]
-        while parent[node] != -1:
-            node = parent[node]
-            out.append(node)
-        out.reverse()
-        return out
-
-    walk = path_to(u) + list(reversed(path_to(w)))
+def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> CycleWitness:
     cycle = _extract_simple_cycle(walk)
     assert len(cycle) == target, "extracted cycle is shorter than the scan minimum"
     # Rotate so the cycle starts at a vertex node, then split alternating
@@ -249,28 +221,38 @@ def girth(h: Hypergraph, cap: int) -> GirthResult:
 
     Returns the shortest cycle length with a certified witness when it is at
     most ``cap``; ``infinite`` when the hypergraph is provably acyclic (its
-    incidence graph is a forest); ``at_least(cap + 1)`` otherwise.
+    incidence graph is a forest, found by a union-find while the adjacency
+    is built); ``at_least(cap + 1)`` otherwise.
+
+    Each vertex root costs one BFS, which stops at the first layer that
+    cannot close a walk shorter than the best so far (at most 2 * cap at the
+    start).  The witness is the cycle of the last root that improved the
+    best, closed by its smallest pair of nodes, and is read off that root's
+    BFS tree.
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    adj, n = _incidence_adjacency(h)
-    if _is_forest(adj):
+    adj, forest = _incidence_adjacency(h)
+    if forest:
         return GirthResult(Girth.infinite(), None)
 
+    n = h.num_vertices
+    level = [-1] * len(adj)
+    parent = [-1] * len(adj)
     best = 2 * cap + 1
-    best_root = -1
+    walk: list[int] = []
     for root in range(n):
-        found = _scan_from_root(adj, root, cap, best)
+        # a scan reaches depth cap at most, so each root gets cap + 1 levels
+        found = _scan_from_root(adj, root, best, level, parent, root * (cap + 1))
         if found is not None:
-            best = found[0]
-            best_root = root
+            best, u, w = found
+            walk = _path_to(parent, u) + _path_to(parent, w)[::-1]
             if best == 4:  # incidence cycles are even and >= 4; cannot improve
                 break
-    if best_root < 0:
+    if not walk:
         return GirthResult(Girth.at_least(cap + 1), None)
-    witness = _witness_from_incidence(h, adj, n, best_root, cap, best)
     assert best % 2 == 0
-    return GirthResult(Girth.finite(best // 2), witness)
+    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
 
 
 def _connector_sets(

@@ -68,8 +68,21 @@ class TestDegreeInducedUnion:
         assert iso.degree(2) == 0
 
     def test_degree_unknown_vertex(self):
-        with pytest.raises(HypergraphError):
+        with pytest.raises(HypergraphError, match="unknown vertex 'w'"):
             path_graph().degree("w")
+
+    def test_edges_containing_unknown_vertex(self):
+        with pytest.raises(HypergraphError, match="unknown vertex 'w'"):
+            path_graph().edges_containing("w")
+
+    def test_degree_and_edges_containing_match_a_scan_of_the_edges(self):
+        rng = random.Random(515)
+        for _ in range(200):
+            h = random_hypergraph(rng, max_vertices=9, max_edges=12)
+            for v in h.vertices:
+                positions = tuple(pos for pos, e in enumerate(h.edges) if v in e)
+                assert h.edges_containing(v) == positions
+                assert h.degree(v) == len(positions)
 
     def test_induced_examples(self):
         h = path_graph()

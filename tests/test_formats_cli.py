@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,16 @@ class TestCli:
         assert run(["bound", "--r", "3", "--g", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["threshold"] == 7081
+
+    def test_module_form_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "rmhyper", "bound", "--r", "3", "--g", "3"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "threshold" in json.loads(done.stdout)
 
     def test_convert_round_trip_and_dot(self, tmp_path, capsys):
         src = tmp_path / "h.json"

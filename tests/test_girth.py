@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from rmhyper.construct import build_part_rainbow_forced
 from rmhyper.core import Hypergraph, complete_hypergraph
 from rmhyper.girth import (
     EnumerationBudgetError,
@@ -9,6 +11,7 @@ from rmhyper.girth import (
     cycle_count_bound_check,
     girth,
 )
+from rmhyper.randgen import random_high_girth
 
 from oracles import (
     berge_girth_bruteforce,
@@ -99,6 +102,84 @@ class TestGirthAgainstBruteForce:
             base = lower(h)
             for e in h.edges:
                 assert lower(h.without_edges([e])) >= base
+
+
+def hub_star(triples, closing):
+    """``triples`` triples (0, 2i+1, 2i+2) through the hub 0, plus, when
+    ``closing``, the triple (1, 3, n) that closes a triangle with the first
+    two."""
+    n = 2 * triples + 1
+    edges = [(0, 2 * i + 1, 2 * i + 2) for i in range(triples)]
+    if closing:
+        edges.append((1, 3, n))
+    return Hypergraph(range(n + closing), edges)
+
+
+class TestHubStar:
+    """Every leaf root reaches the hub at depth 2; a scan that expanded the
+    hub once per root took minutes on the 20,000-edge star."""
+
+    def test_closing_edge_gives_a_triangle(self):
+        h = hub_star(20_000, closing=True)
+        res = girth(h, cap=6)
+        assert res.girth.value == 3
+        res.witness.validate(h)
+
+    def test_star_alone_is_acyclic(self):
+        res = girth(hub_star(20_000, closing=False), cap=6)
+        assert res.girth.kind == "infinite"
+        assert res.witness is None
+
+    def test_witness_of_the_small_star(self):
+        h = hub_star(2000, closing=True)
+        res = girth(h, cap=6)
+        assert res.witness.vertices == (0, 3, 1)
+        res.witness.validate(h)
+
+
+def _witness_record(h, cap):
+    """(girth, witness edge positions, witness vertex positions)."""
+    res = girth(h, cap)
+    if res.witness is None:
+        return (str(res.girth), None)
+    position = {key: pos for pos, key in enumerate(h.edge_index_tuples())}
+    edges = tuple(position[tuple(sorted(map(h.index_of, e)))] for e in res.witness.edges)
+    return (str(res.girth), edges, tuple(map(h.index_of, res.witness.vertices)))
+
+
+def _witness_corpus():
+    rng = random.Random(1010)
+    for i in range(1000):
+        n = rng.randint(4, 24)
+        top = 2 + i % 3
+        sizes = [rng.randint(2, top) for _ in range(rng.randint(1, 2 + 2 * n // top))]
+        edges = {frozenset(rng.sample(range(n), k)) for k in sizes}
+        yield Hypergraph(range(n), sorted(map(sorted, edges)))
+    for g in range(2, 7):
+        yield build_part_rainbow_forced(3, g).base
+
+
+# Digests of girth() and of the carrier deletion loop, taken from the engine
+# that ran a second BFS per witness.  Which shortest cycle is reported, and so
+# which edge each deletion removes, must not depend on how the scan is run.
+WITNESS_CORPUS_DIGEST = "a6a3e8a3941bf4bdb178092b13c8d4d402b025721f19122a2978e448749893f7"
+CARRIER_DIGEST = "698d253d0fcb8743fd98bb048b91065df503483c7002937798927dd32b61d671"
+CARRIER_SHAPES = ((12, 5, 3), (40, 3, 3), (30, 2, 4), (20, 3, 4), (16, 2, 5))
+
+
+def test_pinned_witnesses():
+    runs = [_witness_record(h, cap) for h in _witness_corpus() for cap in (2, 3, 4, 6, 9)]
+    assert sum(run[1] is not None for run in runs) >= 2000
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == WITNESS_CORPUS_DIGEST
+
+
+def test_pinned_carrier_deletions():
+    runs = []
+    for shape in CARRIER_SHAPES:
+        for seed in range(4):
+            sample = random_high_girth(*shape, seed, samples=1)
+            runs.append((sample.hypergraph.edge_index_tuples(), sample.edges_deleted))
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == CARRIER_DIGEST
 
 
 class TestCountCycles:

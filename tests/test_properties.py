@@ -96,3 +96,28 @@ def test_edge_deletion_never_lowers_girth(data):
     assert exact_girth(Hypergraph(h.vertices, kept)) >= before
     for edge in h.edges:
         assert exact_girth(h.without_edges([edge])) >= before
+
+
+@st.composite
+def forest_candidates(draw):
+    """Sparse hypergraphs split into up to four blocks of vertices, so that
+    several components, isolated vertices, forests and cycles are all common."""
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    edges = set()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if hi - lo >= 2:
+            edge = st.frozensets(st.integers(lo, hi - 1), min_size=2, max_size=min(3, hi - lo))
+            edges |= draw(st.sets(edge, max_size=hi - lo))
+    return Hypergraph(range(n), sorted(map(sorted, edges)))
+
+
+@PROPERTY_SETTINGS
+@given(forest_candidates(), st.integers(2, 9))
+def test_infinite_girth_iff_incidence_graph_is_a_forest(h, cap):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(("v", v) for v in h.vertices)
+    for i, edge in enumerate(h.edges):
+        graph.add_edges_from((("e", i), ("v", v)) for v in edge)
+    assert (girth(h, cap).girth.kind == "infinite") == nx.is_forest(graph)
