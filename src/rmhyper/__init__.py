@@ -25,7 +25,6 @@ from .core import (
 )
 from .construct import (
     BuildLimits,
-    ConstructionParams,
     SizeEstimate,
     SizeLimitError,
     SupplierError,
@@ -47,25 +46,36 @@ from .girth import (
     cycle_count_bound_check,
     girth,
 )
-from .randgen import (
-    CarrierSample,
-    ProbParams,
-    SearchOutcome,
-    SubedgeSequence,
-    ThresholdResult,
-    counting_inequality_holds,
-    counting_threshold,
-    random_high_girth,
-    random_search_unavoidable,
-    sample_subedges,
+
+# The probabilistic module loads on first use, so that the deterministic
+# builders can be imported without it.
+_RANDGEN = (
+    "CarrierSample",
+    "ProbParams",
+    "SearchOutcome",
+    "SubedgeSequence",
+    "ThresholdResult",
+    "counting_inequality_holds",
+    "counting_threshold",
+    "random_high_girth",
+    "random_search_unavoidable",
+    "sample_subedges",
 )
+
+
+def __getattr__(name: str):
+    if name in _RANDGEN:
+        from . import randgen
+
+        return getattr(randgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
     "BuildLimits",
     "CarrierSample",
     "Coloring",
-    "ConstructionParams",
     "CycleWitness",
     "EdgeClass",
     "EnumerationBudgetError",

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from typing import Any, Sequence
 
 from . import __version__
@@ -32,9 +33,10 @@ from .coloring import (
 from .core import Hypergraph, HypergraphError, PartiteHypergraph
 from .construct import (
     BuildLimits,
-    ConstructionParams,
+    SizeEstimate,
     SizeLimitError,
     SupplierError,
+    _refuse_beyond,
     build_part_rainbow_forced,
     build_rm_unavoidable,
     complete_partite_factor,
@@ -100,28 +102,20 @@ def _load(path: str) -> Hypergraph | PartiteHypergraph:
         raise CliError(f"{path}: {exc}")
 
 
-def _params(args: argparse.Namespace) -> ConstructionParams:
-    return ConstructionParams(
-        seed=args.seed,
-        limits=BuildLimits(max_vertices=args.max_vertices, max_edges=args.max_edges),
-    )
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
-    params = _params(args)
+    limits = BuildLimits(max_vertices=args.max_vertices, max_edges=args.max_edges)
     meta: dict[str, Any] = {
         "command": f"construct {args.kind}",
-        "seed": args.seed,
         "max_vertices": args.max_vertices,
         "max_edges": args.max_edges,
     }
     try:
         if args.kind == "pr":
             meta.update({"r": args.r, "g": args.g})
-            _emit(build_part_rainbow_forced(args.r, args.g, params), meta, args.output)
+            _emit(build_part_rainbow_forced(args.r, args.g, limits), meta, args.output)
         elif args.kind == "h":
             meta.update({"r": args.r, "g": args.g})
-            result, trace = build_rm_unavoidable(args.r, args.g, params)
+            result, trace = build_rm_unavoidable(args.r, args.g, limits)
             meta["trace"] = trace.to_dict()
             _emit(result, meta, args.output)
         else:  # factor
@@ -129,6 +123,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             if not isinstance(loaded, PartiteHypergraph):
                 raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
             meta.update({"parts": args.parts, "input": args.input})
+            # the totals of C(a, r) copies, without the per-part sums that cost O(a)
+            copies = comb(args.parts, loaded.num_parts) if args.parts >= loaded.num_parts else 0
+            predicted = SizeEstimate(copies * loaded.num_vertices, copies * loaded.num_edges, False)
+            _refuse_beyond(predicted, f"complete partite factor with {args.parts} parts", limits)
             factor, _ = complete_partite_factor(loaded, args.parts)
             _emit(factor, meta, args.output)
     except (SupplierError, HypergraphError, ValueError) as exc:
@@ -260,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--g", type=int, help="girth target (pr, h)")
     p_construct.add_argument("--input", help="partite hypergraph JSON (factor)")
     p_construct.add_argument("--parts", type=int, help="part count a (factor)")
-    p_construct.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of the random supplier; pr with r <= 3 and g <= 8 takes its "
-        "suppliers from finite geometry and does not depend on it",
-    )
     p_construct.add_argument("--max-vertices", type=int, default=BuildLimits().max_vertices)
     p_construct.add_argument("--max-edges", type=int, default=BuildLimits().max_edges)
     p_construct.add_argument("-o", "--output", default=None)

@@ -3,11 +3,12 @@
 The building blocks: attaching a private marker vertex to every edge (raising
 uniformity by one), amalgamation of a partite hypergraph along one part using
 a base hypergraph, complete partite factors, and a supplier of uniform
-hypergraphs with prescribed minimum degree and girth.  For graphs the
-supplier is deterministic where finite geometry gives one (K_{q+1}, K_{q,q},
-the plane PG(2, q-1) and the quadrangle W(q-1) for girth up to 8), so the
-3-uniform builds through girth 8 are exact and need no seed; elsewhere it
-is random.
+hypergraphs with prescribed minimum degree and girth.  The supplier is a
+fixed table of deterministic hypergraphs: complete hypergraphs for girth 2
+(and complete graphs for girth 3), the incidence graphs of K_{q,q}, the plane
+PG(2, q-1) and the quadrangle W(q-1) for graphs up to girth 8, and cycles for
+graphs of minimum degree at most 2.  Inputs outside the table are refused
+before any work, so every build is deterministic and every estimate exact.
 
 Each recursion is written once, as steps that pair a block's cardinality
 identity with its builder, and evaluated two ways: over sizes (exact integers,
@@ -34,12 +35,14 @@ from .core import (
     HypergraphError,
     PartiteHypergraph,
     VertexId,
+    comb_at_most,
     complete_hypergraph,
     validate_uniformity,
 )
 from .girth import girth
 
 SIZE_CAP = 10**15  # beyond this, predicted counts are reported as astronomical
+VERIFY_VERTEX_LIMIT = 20_000  # builds past this size skip the girth re-check
 
 
 @dataclass(frozen=True)
@@ -53,24 +56,12 @@ class BuildLimits:
 
 
 @dataclass(frozen=True)
-class ConstructionParams:
-    """Knobs shared by the builders: RNG seed, size limits, supplier policy."""
-
-    seed: int = 0
-    limits: BuildLimits = BuildLimits()
-    supplier_tries: int = 10
-    verify: bool = True
-    verify_vertex_limit: int = 20_000
-
-
-@dataclass(frozen=True)
 class SizeEstimate:
     """Predicted cardinalities of a construction, or an astronomical marker."""
 
     vertices: int | None
     edges: int | None
     astronomical: bool
-    exact: bool  # True when supplier sizes are exact, False for lower bounds
     note: str = ""
 
     def within(self, limits: BuildLimits) -> bool:
@@ -91,11 +82,12 @@ class _Astronomical(SizeLimitError):
     """A predicted size passed SIZE_CAP; the note says where."""
 
     def __init__(self, note: str):
-        super().__init__(note, SizeEstimate(None, None, True, False, note))
+        super().__init__(note, SizeEstimate(None, None, True, note))
 
 
 class SupplierError(RuntimeError):
-    """The min-degree/high-girth supplier ran out of retries."""
+    """No supplier in the table serves the inputs, or the one that does
+    exceeds the limits."""
 
 
 @dataclass
@@ -121,13 +113,11 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class _Size:
-    """The cardinalities of a hypergraph, read like one; ``exact`` is False
-    for lower bounds."""
+    """The cardinalities of a hypergraph, read like one."""
 
     num_vertices: int
     num_edges: int
     parts: tuple[int, ...] = ()
-    exact: bool = True
 
     def part_sizes(self) -> tuple[int, ...]:
         return self.parts
@@ -174,48 +164,47 @@ def _complete_size(n: int, r: int) -> _Size:
     return _Size(n, comb(n, r))
 
 
-def _supplier_size(ell: int, g: int, q: int) -> _Size:
-    """supply_min_degree_girth: exact where a finite geometry gives the
-    supplier (see :func:`_moore_graph`); otherwise the random route's
-    starting vertex count with the degree-sum lower bound on edges."""
-    moore = _moore_graph(ell, g, q)
-    if moore is not None:
-        return moore[0]
-    if g == 2:
-        n = max(2 * ell, q + ell)
-    else:
-        # girth >= 3 means any two edges share at most one vertex, which
-        # forces n >= q*(ell-1) + 1 around a max-degree vertex
-        n = max(2 * ell, q * (ell - 1) + 1)
-    return _Size(n, -(-q * n // ell), exact=False)
-
-
 # ---------------------------------------------------------------------------
-# Deterministic suppliers from finite geometry
+# The supplier table
 # ---------------------------------------------------------------------------
 
 
-def _moore_graph(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]] | None:
-    """The deterministic supplier as its exact size and its builder, or None
-    where the random route is taken (ell >= 3, g >= 9, or g >= 5 with q - 1
-    not prime).  Each graph is q-regular and meets the Moore bound for its
-    own girth (3, 4, 6 or 8): no graph of that girth and degree is smaller.
+def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]]:
+    """The supplier of :func:`supply_min_degree_girth` as its exact size and
+    its builder; inputs that no row serves raise SupplierError.
 
-    g <= 3: the complete graph K_{q+1}.  4 <= g <= 8: the incidence graph of
-    a generalized n-gon of order (p, p), p = q - 1, n = ceil(g / 2), with
-    girth 2n and 1 + p + ... + p^(n-1) points and as many lines: K_{q,q}
-    (n = 2), the plane PG(2, p) (n = 3) and the symplectic quadrangle W(p)
-    (n = 4), the last two over the prime field F_p.
+    g = 2, or ell = 2 and g = 3: the complete ell-uniform hypergraph on the
+    fewest n with C(n-1, ell-1) >= q, which is K_{q+1} for graphs.
+
+    ell = 2, 4 <= g <= 8: the incidence graph of a generalized n-gon of order
+    (p, p), p = q - 1, n = ceil(g / 2), with girth 2n and 1 + p + ... +
+    p^(n-1) points and as many lines: K_{q,q} (n = 2), the plane PG(2, p)
+    (n = 3) and the symplectic quadrangle W(p) (n = 4), the last two over the
+    prime field F_p.  Each is q-regular and meets the Moore bound for its own
+    girth: no graph of that girth and degree is smaller.
+
+    ell = 2, q <= 2, for inputs the rows above do not serve: the cycle C_g.
     """
-    if ell != 2 or g > 8:
-        return None
-    if g <= 3:
-        return _Size(q + 1, comb(q + 1, 2)), lambda: complete_hypergraph(q + 1, 2)
-    n, p = (g + 1) // 2, q - 1
-    if n > 2 and not _is_prime(p):
-        return None
-    points = sum(p**i for i in range(n))
-    return _Size(2 * points, q * points), lambda: _polygon_incidence_graph(n, p)
+    if g == 2 or (ell == 2 and g == 3):
+        lo, hi = ell, ell + q - 1  # C(ell + q - 2, ell - 1) >= q
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb_at_most(mid - 1, ell - 1, q) >= q:
+                hi = mid
+            else:
+                lo = mid + 1
+        return _complete_size(lo, ell), lambda: complete_hypergraph(lo, ell)
+    if ell == 2 and g <= 8:
+        n, p = (g + 1) // 2, q - 1
+        if n == 2 or _is_prime(p):
+            points = sum(p**i for i in range(n))
+            return _Size(2 * points, q * points), lambda: _polygon_incidence_graph(n, p)
+    if ell == 2 and q <= 2:
+        return _Size(g, g), lambda: Hypergraph(range(g), [(i, (i + 1) % g) for i in range(g)])
+    raise SupplierError(
+        f"no supplier for ell={ell}, g={g}, q={q}: the table serves g = 2 and, for "
+        "graphs, g <= 4, g <= 8 with q - 1 prime, and any g with q <= 2"
+    )
 
 
 def _is_prime(p: int) -> bool:
@@ -400,71 +389,40 @@ def complete_partite_factor(
 
 
 def supply_min_degree_girth(
-    ell: int, g: int, q: int, params: ConstructionParams | None = None
+    ell: int, g: int, q: int, limits: BuildLimits | None = None
 ) -> Hypergraph:
     """An ell-uniform hypergraph with girth >= g and minimum degree >= q.
 
-    Deterministic for graphs (ell = 2) with g <= 3 (K_{q+1}), g = 4
-    (K_{q,q}), and g <= 8 when q - 1 is prime (the incidence graph of the
-    plane PG(2, q-1) for g <= 6, of the quadrangle W(q-1) for g <= 8):
-    exactly where :func:`_supplier_size` is exact, and independent of the
-    seed.  Otherwise generates a random high-girth hypergraph, peels
-    vertices of degree below q to a fixpoint, and retries at larger n if the
-    peeling empties the hypergraph.  Either way the output is re-verified
-    before return.  A geometry beyond the vertex or edge limit, or a random
-    start beyond the vertex limit, raises :class:`SupplierError` before
-    anything is built.
+    Built from the table of :func:`_supplier`: the complete ell-uniform
+    hypergraph for g = 2 (K_{q+1} for graphs, also for g = 3), K_{q,q} for
+    graphs with g = 4, the incidence graph of the plane PG(2, q-1) for g <= 6
+    and of the quadrangle W(q-1) for g <= 8 when q - 1 is prime, and the
+    cycle C_g for graphs with q <= 2.  The output is deterministic, sized
+    exactly by the estimators, and re-verified before return.  Inputs outside
+    the table, and suppliers beyond the vertex or edge limit, raise
+    :class:`SupplierError` before anything is built.
     """
     validate_uniformity(ell)
     if g < 2:
         raise ValueError(f"girth target must be >= 2, got {g}")
     if q < 1:
         raise ValueError(f"minimum degree must be >= 1, got {q}")
-    params = params or ConstructionParams()
-
-    def refuse_beyond_limits(vertices: int, edges: int = 0) -> None:
-        limits = params.limits
-        if vertices > limits.max_vertices or edges > limits.max_edges:
-            raise SupplierError(
-                f"supplier for ell={ell}, g={g}, q={q} exceeds the limits "
-                f"({limits.max_vertices} vertices / {limits.max_edges} edges)"
-            )
-
-    def verified(h: Hypergraph) -> Hypergraph:
-        if not h.is_uniform(ell) or min(h.degree(v) for v in h.vertices) < q:
-            raise AssertionError("supplier output lost uniformity or minimum degree")
-        if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
-            raise AssertionError("supplier output lost the girth guarantee")
-        return h
-
-    moore = _moore_graph(ell, g, q)
-    if moore is not None:
-        size, build = moore
-        refuse_beyond_limits(size.num_vertices, size.num_edges)
-        return verified(build())
-
-    from .randgen import derive_seed, random_high_girth
-
-    n = _supplier_size(ell, g, q).num_vertices
-    for attempt in range(params.supplier_tries):
-        refuse_beyond_limits(n)
-        sample = random_high_girth(
-            n, ell, g, derive_seed(params.seed, f"supplier:{attempt}"), min_edges=1
+    limits = limits or BuildLimits()
+    try:
+        size, build = _supplier(ell, g, q)
+    except _Astronomical as exc:
+        raise SupplierError(f"supplier for ell={ell}, g={g}, q={q}: {exc}") from None
+    if size.num_vertices > limits.max_vertices or size.num_edges > limits.max_edges:
+        raise SupplierError(
+            f"supplier for ell={ell}, g={g}, q={q} exceeds the limits "
+            f"({limits.max_vertices} vertices / {limits.max_edges} edges)"
         )
-        h = sample.hypergraph
-        while h.num_vertices:
-            low = [v for v in h.vertices if h.degree(v) < q]
-            if not low:
-                break
-            keep = set(h.vertices) - set(low)
-            h = h.induced(keep)
-        if h.num_edges:  # the peeling left only vertices of degree >= q
-            return verified(h)
-        n = math.ceil(n * 1.5)
-    raise SupplierError(
-        f"no ell={ell} hypergraph with girth >= {g} and min degree >= {q} found "
-        f"within {params.supplier_tries} tries (last n={n})"
-    )
+    h = build()
+    if not h.is_uniform(ell) or min(h.degree(v) for v in h.vertices) < q:
+        raise AssertionError("supplier output lost uniformity or minimum degree")
+    if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
+        raise AssertionError("supplier output lost the girth guarantee")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +434,11 @@ class _Sizes:
     """Evaluates a recursion over cardinalities: every step returns its
     predicted size, and one past SIZE_CAP ends the evaluation."""
 
-    def __init__(self, params: ConstructionParams | None = None) -> None:
-        self.params = params
-        self.exact = True
+    def __init__(self, limits: BuildLimits | None = None) -> None:
+        self.limits = limits
         self.note = ""
 
     def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
-        if not size.exact:
-            self.exact = False
-            lower_bounds = "supplier sizes are lower bounds; actual sizes may be far larger"
-            self.note = self.note or lower_bounds
         if size.num_vertices > SIZE_CAP or size.num_edges > SIZE_CAP:
             raise _Astronomical(f"exceeds {SIZE_CAP:.0e} at {where}")
         return size
@@ -496,9 +449,9 @@ class _Build(_Sizes):
     predicted size exceeds the limits (if any) before taking it."""
 
     def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
-        if self.params is not None:
-            predicted = SizeEstimate(size.num_vertices, size.num_edges, False, size.exact)
-            _refuse_beyond(predicted, where, self.params.limits)
+        if self.limits is not None:
+            predicted = SizeEstimate(size.num_vertices, size.num_edges, False)
+            _refuse_beyond(predicted, where, self.limits)
         return build()
 
 
@@ -525,8 +478,8 @@ def _pr_recursion(r: int, g: int, ops: _Sizes) -> Any:
         q = ell * (k + 1)
         tilde = ops.step(_marked_size(pr), where, lambda: attach_edge_markers(pr)[0])
         base = ops.step(
-            _supplier_size(ell, g, q), where,
-            lambda: supply_min_degree_girth(ell, g, q, ops.params),
+            _supplier(ell, g, q)[0], where,
+            lambda: supply_min_degree_girth(ell, g, q, ops.limits),
         )
         pr = ops.step(_amalgam_size(tilde, k, base), where, lambda: amalgamate(tilde, k, base)[0])
     return pr
@@ -583,26 +536,28 @@ def _estimate(r: int, g: int, recursion: Callable[[_Sizes], Any]) -> SizeEstimat
     try:
         result = recursion(sizes)
     except _Astronomical as exc:
-        return SizeEstimate(None, None, True, sizes.exact, exc.estimate.note)
-    return SizeEstimate(result.num_vertices, result.num_edges, False, sizes.exact, sizes.note)
+        return exc.estimate
+    return SizeEstimate(result.num_vertices, result.num_edges, False, sizes.note)
 
 
-def _verify(h: Hypergraph, r: int, g: int, params: ConstructionParams) -> None:
+def _verify(h: Hypergraph, r: int, g: int) -> None:
     if not h.is_uniform(r):
         raise AssertionError("recursion produced a non-uniform hypergraph")
     # every hypergraph has girth >= 2
-    if g > 2 and params.verify and h.num_vertices <= params.verify_vertex_limit:
+    if g > 2 and h.num_vertices <= VERIFY_VERTEX_LIMIT:
         if not girth(h, cap=g).girth.guarantees_at_least(g):
             raise AssertionError(f"construction failed its girth >= {g} postcondition")
 
 
 def estimate_pr_size(r: int, g: int) -> SizeEstimate:
-    """Predicted size of the part-rainbow-forced construction."""
+    """Exact size of the part-rainbow-forced construction, or an astronomical
+    marker; raises SupplierError where the table has no supplier."""
     return _estimate(r, g, lambda ops: _pr_recursion(r, g, ops))
 
 
 def estimate_h_size(r: int, g: int) -> SizeEstimate:
-    """Predicted size of the rm-unavoidable construction."""
+    """Exact size of the rm-unavoidable construction, or an astronomical
+    marker; raises SupplierError where the table has no supplier."""
     return _estimate(r, g, lambda ops: _h_recursion(r, g, ops)[0])
 
 
@@ -612,7 +567,7 @@ def base_rainbow_path() -> PartiteHypergraph:
 
 
 def build_part_rainbow_forced(
-    r: int, g: int, params: ConstructionParams | None = None
+    r: int, g: int, limits: BuildLimits | None = None
 ) -> PartiteHypergraph:
     """The r-uniform r-partite part-rainbow-forced hypergraph of girth >= g.
 
@@ -620,13 +575,14 @@ def build_part_rainbow_forced(
     then amalgamate along the new part using a supplier hypergraph whose
     uniformity is the edge count and whose minimum degree is edge count times
     (k+1).  Estimate-first: refuses with a SizeLimitError, before building
-    anything, when the predicted size exceeds the limits.
+    anything, when the predicted size exceeds the limits, and with a
+    SupplierError when the table has no supplier for a step.
     """
-    params = params or ConstructionParams()
+    limits = limits or BuildLimits()
     what = f"part-rainbow-forced recursion for r={r}, g={g}"
-    _refuse_beyond(estimate_pr_size(r, g), what, params.limits)
-    pr = _pr_recursion(r, g, _Build(params))
-    _verify(pr.base, r, g, params)
+    _refuse_beyond(estimate_pr_size(r, g), what, limits)
+    pr = _pr_recursion(r, g, _Build(limits))
+    _verify(pr.base, r, g)
     return pr
 
 
@@ -645,7 +601,7 @@ def amalgamation_sweep(
 
 
 def build_rm_unavoidable(
-    r: int, g: int, params: ConstructionParams | None = None
+    r: int, g: int, limits: BuildLimits | None = None
 ) -> tuple[Hypergraph, TraceNode]:
     """An r-uniform hypergraph of girth >= g in which every vertex coloring
     has a monochromatic or rainbow edge.
@@ -659,9 +615,9 @@ def build_rm_unavoidable(
     size.  Estimate-first, like :func:`build_part_rainbow_forced`; beyond the
     base cases the sizes are astronomical.
     """
-    params = params or ConstructionParams()
+    limits = limits or BuildLimits()
     what = f"rm-unavoidable recursion for r={r}, g={g}"
-    _refuse_beyond(estimate_h_size(r, g), what, params.limits)
-    final, trace = _h_recursion(r, g, _Build(params))
-    _verify(final, r, g, params)
+    _refuse_beyond(estimate_h_size(r, g), what, limits)
+    final, trace = _h_recursion(r, g, _Build(limits))
+    _verify(final, r, g)
     return final, trace

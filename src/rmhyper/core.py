@@ -261,3 +261,17 @@ def complete_hypergraph(n: int, r: int) -> Hypergraph:
         raise HypergraphError(f"need at least r={r} vertices, got {n}")
     return Hypergraph(range(n), combinations(range(n), r))
 
+
+def comb_at_most(n: int, k: int, cap: int) -> int:
+    """min(C(n, k), cap), without computing C(n, k) past ``cap``.
+
+    With k <= n / 2, C(n, i) >= 2^i, so at most log2(cap) + 1 factors are
+    multiplied in however large n and k are.
+    """
+    k = min(k, n - k)
+    count = 1 if k >= 0 else 0
+    for i in range(k):
+        if count >= cap:
+            break
+        count = count * (n - i) // (i + 1)  # C(n, i) * (n - i) / (i + 1) = C(n, i + 1)
+    return min(count, cap)

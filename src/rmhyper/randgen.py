@@ -12,25 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import BuildLimits, SizeEstimate, SizeLimitError
-from .core import Hypergraph, HypergraphError, validate_uniformity
+from .core import Hypergraph, HypergraphError, comb_at_most, validate_uniformity
 from .girth import girth
 
 DEFAULT_SAMPLES = 8
 DEFAULT_TRIES = 64
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-
-class RetryLimitError(RuntimeError):
-    """The generator could not reach its edge target; carries what it got."""
-
-    def __init__(self, message: str, best: "CarrierSample"):
-        super().__init__(message)
-        self.best = best
 
 
 def derive_seed(master: int, label: object) -> int:
@@ -71,8 +63,6 @@ def random_high_girth(
     seed: int,
     *,
     samples: int = DEFAULT_SAMPLES,
-    min_edges: int | None = None,
-    require_target: bool = False,
 ) -> CarrierSample:
     """Random uniform hypergraph on n vertices with verified girth >= g.
 
@@ -80,13 +70,10 @@ def random_high_girth(
     at the number of available edges), then repeatedly deletes the first edge
     of a currently shortest cycle until no cycle shorter than g remains.  If
     the surviving edge count misses the target ceil(n^(1+1/g)), fresh samples
-    are drawn up to ``samples`` times and the best attempt is returned; with
-    ``require_target`` the miss raises RetryLimitError instead.  At desk
-    scale the guarantee behind the target does not yet bind, so misses are
-    expected for small n.  ``min_edges`` overrides the acceptance threshold
-    (the reported target is unchanged).  A sample of more edges than the
-    default ``BuildLimits().max_edges`` raises SizeLimitError before any is
-    drawn.
+    are drawn up to ``samples`` times and the best attempt is returned.  At
+    desk scale the guarantee behind the target does not yet bind, so misses
+    are expected for small n.  A sample of more edges than the default
+    ``BuildLimits().max_edges`` raises SizeLimitError before any is drawn.
     """
     validate_uniformity(uniformity)
     if n < uniformity:
@@ -97,15 +84,13 @@ def random_high_girth(
         raise ValueError("samples must be >= 1")
 
     target = ceil_power(n, g + 1, g)
-    available = comb(n, uniformity)
-    m = min(2 * target, available)
+    m = comb_at_most(n, uniformity, 2 * target)
     limit = BuildLimits().max_edges
     if m > limit:
         raise SizeLimitError(
             f"a carrier sample of {m} edges exceeds the limit of {limit} edges",
-            SizeEstimate(n, m, astronomical=False, exact=True),
+            SizeEstimate(n, m, astronomical=False),
         )
-    threshold = target if min_edges is None else min_edges
 
     best: CarrierSample | None = None
     population = range(n)
@@ -134,16 +119,11 @@ def random_high_girth(
             samples_used=attempt + 1,
             edges_deleted=deleted,
         )
-        if h.num_edges >= threshold:
+        if sample.target_met:
             return sample
         if best is None or sample.edges_kept > best.edges_kept:
             best = sample
     assert best is not None
-    if require_target:
-        raise RetryLimitError(
-            f"kept {best.edges_kept} edges after {samples} samples; target {target}",
-            best,
-        )
     return best
 
 
@@ -323,36 +303,15 @@ def random_search_unavoidable(params: ProbParams) -> SearchOutcome:
         )
         subedges, candidate = sample_subedges(carrier.hypergraph, params.r, seed_t)
         verdict = find_good_coloring(candidate, budget=params.budget)
-        if verdict.status is VerdictStatus.PROPERTY_HOLDS:
+        found = verdict.status is VerdictStatus.PROPERTY_HOLDS
+        outcome = SearchOutcome(found, candidate, verdict, subedges, t, t + 1)
+        if found:
             if not girth(candidate, cap=max(2, params.g - 1)).girth.guarantees_at_least(
                 params.g
             ):
                 raise AssertionError("certified instance fails its girth recheck")
-            return SearchOutcome(
-                found=True,
-                hypergraph=candidate,
-                verdict=verdict,
-                subedges=subedges,
-                try_index=t,
-                tries_used=t + 1,
-            )
-        outcome = SearchOutcome(
-            found=False,
-            hypergraph=candidate,
-            verdict=verdict,
-            subedges=subedges,
-            try_index=t,
-            tries_used=t + 1,
-        )
+            return outcome
         if best is None or verdict.nodes > best[0]:
             best = (verdict.nodes, outcome)
     assert best is not None
-    _, outcome = best
-    return SearchOutcome(
-        found=False,
-        hypergraph=outcome.hypergraph,
-        verdict=outcome.verdict,
-        subedges=outcome.subedges,
-        try_index=outcome.try_index,
-        tries_used=params.tries,
-    )
+    return replace(best[1], tries_used=params.tries)

@@ -1,7 +1,11 @@
 import hashlib
 import random
+import subprocess
+import sys
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,6 @@ from rmhyper import construct
 from rmhyper.coloring import VerdictStatus, find_good_coloring, find_part_rainbow_bad
 from rmhyper.construct import (
     BuildLimits,
-    ConstructionParams,
     SizeEstimate,
     SizeLimitError,
     SupplierError,
@@ -194,18 +197,18 @@ class TestSupplier:
         assert out == complete_hypergraph(2, 2)
         assert girth(out, cap=3).girth.kind == "infinite"
 
-    def test_random_route_girth_four_graph(self):
-        # girth 4 is met by K_{3,3}; test_random_route_graph covers the
-        # random route for graphs
-        out = supply_min_degree_girth(2, 4, 3, ConstructionParams(seed=5))
-        assert out.is_uniform(2)
-        assert min(out.degree(v) for v in out.vertices) >= 3
-        assert girth(out, cap=3).girth.guarantees_at_least(4)
+    def test_complete_bipartite_route(self):
+        # girth 4 is met by K_{3,3}: points 0..2, lines 3..5
+        out = supply_min_degree_girth(2, 4, 3)
+        assert out == Hypergraph(range(6), [(i, j) for i in range(3) for j in range(3, 6)])
+        assert girth(out, cap=5).girth == Girth.finite(4)
 
-    def test_random_route_three_uniform(self):
-        out = supply_min_degree_girth(3, 2, 2, ConstructionParams(seed=5))
-        assert out.is_uniform(3)
-        assert min(out.degree(v) for v in out.vertices) >= 2
+    @pytest.mark.parametrize("ell, q, n", [(3, 2, 4), (3, 3, 4), (3, 4, 5), (4, 2, 5), (4, 5, 6)])
+    def test_complete_route_three_and_four_uniform(self, ell, q, n):
+        # girth 2 takes the complete ell-uniform hypergraph on the fewest n
+        # with C(n-1, ell-1) >= q
+        assert comb(n - 1, ell - 1) >= q > comb(n - 2, ell - 1)
+        assert supply_min_degree_girth(ell, 2, q) == complete_hypergraph(n, ell)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,9 +217,10 @@ class TestSupplier:
             supply_min_degree_girth(2, 3, 0)
 
     def test_impossible_within_limits(self):
-        params = ConstructionParams(limits=BuildLimits(max_vertices=40, max_edges=100))
+        # PG(2, 11) has 266 vertices
+        limits = BuildLimits(max_vertices=40, max_edges=100)
         with pytest.raises(SupplierError):
-            supply_min_degree_girth(2, 5, 12, params)
+            supply_min_degree_girth(2, 5, 12, limits)
 
     @pytest.mark.parametrize(
         "g, vertices, edges",
@@ -224,27 +228,29 @@ class TestSupplier:
     )
     def test_generalized_polygon_suppliers(self, g, vertices, edges):
         # K_{6,6}, the plane PG(2, 5) and the quadrangle W(5): 6-regular,
-        # sized exactly by the estimate, and the same for every seed
-        assert construct._supplier_size(2, g, 6) == construct._Size(vertices, edges)
+        # sized exactly by the estimate
+        assert construct._supplier(2, g, 6)[0] == construct._Size(vertices, edges)
         out = supply_min_degree_girth(2, g, 6)
         assert (out.num_vertices, out.num_edges) == (vertices, edges)
         assert out.is_uniform(2)
         assert all(out.degree(v) == 6 for v in out.vertices)
         assert girth(out, cap=g + 1).girth == Girth.finite(g + g % 2)
-        assert supply_min_degree_girth(2, g, 6, ConstructionParams(seed=99)) == out
 
-    def test_random_route_outside_the_geometries(self):
-        # ell >= 3; g >= 9, past the quadrangles; q - 1 = 4 is not prime
-        for ell, g, q in [(3, 3, 6), (2, 9, 6), (2, 5, 5)]:
-            assert not construct._supplier_size(ell, g, q).exact
+    def test_refused_outside_the_table(self, monkeypatch):
+        # ell >= 3 past g = 2; g >= 9, past the quadrangles; q - 1 = 4 is
+        # not prime
+        monkeypatch.setattr(construct, "complete_hypergraph", _unreachable)
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
+        for ell, g, q in [(3, 3, 6), (3, 3, 2), (3, 3, 3), (3, 4, 2), (2, 9, 6), (2, 5, 5)]:
+            with pytest.raises(SupplierError, match="no supplier"):
+                supply_min_degree_girth(ell, g, q)
 
     @pytest.mark.parametrize("g", [5, 9])
-    def test_random_route_graph(self, g):
-        # q - 1 = 1 is not prime, so girth 5 is random too
-        out = supply_min_degree_girth(2, g, 2, ConstructionParams(seed=3))
-        assert out.is_uniform(2)
-        assert min(out.degree(v) for v in out.vertices) >= 2
-        assert girth(out, cap=g - 1).girth.guarantees_at_least(g)
+    def test_cycle_route(self, g):
+        # q - 1 = 1 is not prime, so no plane or quadrangle serves q = 2
+        out = supply_min_degree_girth(2, g, 2)
+        assert out == Hypergraph(range(g), [(i, (i + 1) % g) for i in range(g)])
+        assert girth(out, cap=g).girth == Girth.finite(g)
 
     @pytest.mark.parametrize("max_vertices, max_edges", [(311, 10_000), (10_000, 935)])
     def test_geometry_beyond_limits_is_refused_before_it_is_built(
@@ -252,9 +258,9 @@ class TestSupplier:
     ):
         # W(5) has 312 vertices and 936 edges
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
-        params = ConstructionParams(limits=BuildLimits(max_vertices, max_edges))
+        limits = BuildLimits(max_vertices, max_edges)
         with pytest.raises(SupplierError, match="exceeds the limits"):
-            supply_min_degree_girth(2, 8, 6, params)
+            supply_min_degree_girth(2, 8, 6, limits)
 
 
 class TestBuildPartRainbowForced:
@@ -279,46 +285,52 @@ class TestBuildPartRainbowForced:
         assert girth(pr.base, cap=3).girth.guarantees_at_least(3)
 
     def test_four_uniform_exceeds_desk_limits(self):
-        with pytest.raises(SizeLimitError) as err:
+        # pr(4, 2) fits the limits (see PINNED); girth 3 needs a 42-uniform
+        # supplier of girth 3, which the table does not have
+        with pytest.raises(SupplierError, match="ell=42, g=3, q=168"):
             build_part_rainbow_forced(4, 3)
-        est = err.value.estimate
-        assert est.vertices is None or est.vertices > BuildLimits().max_vertices
+        with pytest.raises(SizeLimitError) as err:
+            build_part_rainbow_forced(4, 2, BuildLimits(max_vertices=66_263))
+        assert err.value.estimate.vertices == 66_264
 
     def test_refused_before_any_step_is_built(self, monkeypatch):
         monkeypatch.setattr(construct, "amalgamate", _unreachable)
-        with pytest.raises(SizeLimitError):
+        monkeypatch.setattr(construct, "supply_min_degree_girth", _unreachable)
+        with pytest.raises(SupplierError):
             build_part_rainbow_forced(4, 3)
+        with pytest.raises(SizeLimitError):
+            build_part_rainbow_forced(5, 2)
 
     def test_step_beyond_limits_is_refused_before_it_is_built(self, monkeypatch):
-        # the estimate for (3, 9) is a lower bound of 70 vertices (its
-        # supplier is random); a supplier output larger than that bound
-        # pushes the amalgamation step past the limits, which the step must
-        # notice before amalgamating
-        supply = lambda *args: complete_hypergraph(9, 2)  # min degree 8 >= q = 6
+        # pr(3, 4) is estimated at 120 vertices from its K_{6,6} supplier; a
+        # larger stand-in supplier pushes the amalgamation step past the
+        # limits, which the step must notice before amalgamating
+        supply = lambda *args: complete_hypergraph(10, 2)  # min degree 9 >= q = 6
         monkeypatch.setattr(construct, "supply_min_degree_girth", supply)
         monkeypatch.setattr(construct, "amalgamate", _unreachable)
-        params = ConstructionParams(limits=BuildLimits(max_vertices=100, max_edges=100))
-        assert estimate_pr_size(3, 9) == SizeEstimate(70, 42, False, False, LOWER_BOUNDS)
+        limits = BuildLimits(max_vertices=130, max_edges=100)
+        assert estimate_pr_size(3, 4) == SizeEstimate(120, 72, False)
         with pytest.raises(SizeLimitError) as err:
-            build_part_rainbow_forced(3, 9, params)
-        assert (err.value.estimate.vertices, err.value.estimate.edges) == (117, 72)
+            build_part_rainbow_forced(3, 4, limits)
+        assert (err.value.estimate.vertices, err.value.estimate.edges) == (145, 90)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_three_uniform_builds_are_exact_and_seed_free(self, g):
+        # every supplier is deterministic: two builds agree byte for byte
         est = estimate_pr_size(3, g)
         pr = build_part_rainbow_forced(3, g)
-        assert est.exact and (est.vertices, est.edges) == (pr.num_vertices, pr.num_edges)
-        reseeded = build_part_rainbow_forced(3, g, ConstructionParams(seed=12345))
-        assert dumps(reseeded) == dumps(pr)
+        assert (est.vertices, est.edges) == (pr.num_vertices, pr.num_edges)
+        assert dumps(build_part_rainbow_forced(3, g)) == dumps(pr)
 
     def test_estimates(self):
         assert estimate_pr_size(2, 7).vertices == 3
         est = estimate_pr_size(3, 3)
         assert (est.vertices, est.edges) == (70, 42)
-        assert est.exact
-        big = estimate_pr_size(4, 3)
-        assert not big.exact
-        assert big.vertices > 10**6
+        assert estimate_pr_size(4, 2) == SizeEstimate(66_264, 39_732, False)
+        big = estimate_pr_size(5, 2)
+        assert not big.astronomical and big.vertices > 10**6
+        with pytest.raises(SupplierError):
+            estimate_pr_size(3, 9)
 
 
 class TestBuildRmUnavoidable:
@@ -345,9 +357,9 @@ class TestBuildRmUnavoidable:
             assert girth(h, cap=g).girth.guarantees_at_least(g)
 
     def test_complete_base_beyond_limits_is_refused(self):
-        params = ConstructionParams(limits=BuildLimits(max_vertices=10, max_edges=50))
+        limits = BuildLimits(max_vertices=10, max_edges=50)
         with pytest.raises(SizeLimitError) as err:
-            build_rm_unavoidable(5, 2, params)
+            build_rm_unavoidable(5, 2, limits)
         est = err.value.estimate
         assert (est.vertices, est.edges, est.astronomical) == (17, 6188, False)
 
@@ -361,7 +373,8 @@ class TestBuildRmUnavoidable:
             return real(n, r)
 
         monkeypatch.setattr(construct, "complete_hypergraph", guarded)
-        with pytest.raises(SizeLimitError):
+        # g = 3 stops earlier: pr(7, 3) needs a 42-uniform supplier of girth 3
+        with pytest.raises(SizeLimitError if g == 2 else SupplierError):
             build_rm_unavoidable(7, g)
 
     def test_three_uniform_girth_three_is_astronomical(self):
@@ -415,54 +428,63 @@ def _base_trace(r, g, vertices, edges, **note):
     }
 
 
-LOWER_BOUNDS = "supplier sizes are lower bounds; actual sizes may be far larger"
+@dataclass(frozen=True)
+class Refused:
+    """The estimator raises SupplierError with a message matching ``match``."""
+
+    match: str
+
+
+NO_42_UNIFORM_GIRTH_3 = Refused("ell=42, g=3, q=168")
 
 # (kind, r, g, estimate, SHA-256 prefix of the build's JSON or None when not
 # built, trace of the h build)
 PINNED = [
-    ("pr", 2, 2, SizeEstimate(3, 2, False, True, ""), "30ed48e99adc8ad2", None),
-    ("pr", 3, 3, SizeEstimate(70, 42, False, True, ""), "cd1923c8c231c78b", None),
-    ("pr", 3, 4, SizeEstimate(120, 72, False, True, ""), "5bec9f0dc8d5b3a0", None),
-    ("pr", 4, 2, SizeEstimate(59010, 35280, False, False, LOWER_BOUNDS), None, None),
-    ("pr", 4, 3, SizeEstimate(1935809, 1157352, False, False, LOWER_BOUNDS), None, None),
-    ("pr", 5, 3, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
-    ("h", 2, 2, SizeEstimate(2, 1, False, True, ""), "88b300742a85db2a", _base_trace(2, 2, 2, 1)),
+    ("pr", 2, 2, SizeEstimate(3, 2, False, ""), "30ed48e99adc8ad2", None),
+    ("pr", 3, 3, SizeEstimate(70, 42, False, ""), "cd1923c8c231c78b", None),
+    ("pr", 3, 4, SizeEstimate(120, 72, False, ""), "5bec9f0dc8d5b3a0", None),
+    # supplier: the complete 42-uniform hypergraph on 44 vertices
+    ("pr", 4, 2, SizeEstimate(66264, 39732, False, ""), "ad9812cd424119ec", None),
+    ("pr", 4, 3, NO_42_UNIFORM_GIRTH_3, None, None),
+    ("pr", 5, 3, NO_42_UNIFORM_GIRTH_3, None, None),
+    ("h", 2, 2, SizeEstimate(2, 1, False, ""), "88b300742a85db2a", _base_trace(2, 2, 2, 1)),
     (
         "h", 2, 3,
-        SizeEstimate(2, 1, False, True, "base case already meets the girth target"),
+        SizeEstimate(2, 1, False, "base case already meets the girth target"),
         "88b300742a85db2a",
         _base_trace(2, 3, 2, 1, note="base case already meets the girth target"),
     ),
-    ("h", 3, 2, SizeEstimate(5, 10, False, True, ""), "4235cc8dbf1bbc1d", _base_trace(3, 2, 5, 10)),
-    ("h", 4, 2, SizeEstimate(10, 210, False, True, ""), "d44c9bcde5e394ce", _base_trace(4, 2, 10, 210)),
-    ("h", 5, 2, SizeEstimate(17, 6188, False, True, ""), "baffc01633517317", _base_trace(5, 2, 17, 6188)),
+    ("h", 3, 2, SizeEstimate(5, 10, False, ""), "4235cc8dbf1bbc1d", _base_trace(3, 2, 5, 10)),
+    ("h", 4, 2, SizeEstimate(10, 210, False, ""), "d44c9bcde5e394ce", _base_trace(4, 2, 10, 210)),
+    ("h", 5, 2, SizeEstimate(17, 6188, False, ""), "baffc01633517317", _base_trace(5, 2, 17, 6188)),
     (
         "h", 3, 3,
-        SizeEstimate(None, None, True, True, "complete base alone has ~10^2034 edges"),
+        SizeEstimate(None, None, True, "complete base alone has ~10^2034 edges"),
         None, None,
     ),
-    (
-        "h", 4, 3,
-        SizeEstimate(None, None, True, False, "complete base alone has ~10^2250864721 edges"),
-        None, None,
-    ),
+    # the recursion reaches pr(4, 3) before any complete base
+    ("h", 4, 3, NO_42_UNIFORM_GIRTH_3, None, None),
     (
         "h", 12, 2,
-        SizeEstimate(None, None, True, True, "complete base alone has ~10^16 edges"),
+        SizeEstimate(None, None, True, "complete base alone has ~10^16 edges"),
         None, None,
     ),
-    ("h", 3, 4, SizeEstimate(None, None, True, False, "exceeds 1e+15 at uniformity 5"), None, None),
+    ("h", 3, 4, NO_42_UNIFORM_GIRTH_3, None, None),
     # suppliers PG(2, 5) for g = 5, 6 and W(5) for g = 7, 8
-    ("pr", 3, 5, SizeEstimate(620, 372, False, True, ""), "ea80171417d56bc4", None),
-    ("pr", 3, 6, SizeEstimate(620, 372, False, True, ""), "ea80171417d56bc4", None),
-    ("pr", 3, 7, SizeEstimate(3120, 1872, False, True, ""), "432c193532acb7ac", None),
-    ("pr", 3, 8, SizeEstimate(3120, 1872, False, True, ""), "432c193532acb7ac", None),
+    ("pr", 3, 5, SizeEstimate(620, 372, False, ""), "ea80171417d56bc4", None),
+    ("pr", 3, 6, SizeEstimate(620, 372, False, ""), "ea80171417d56bc4", None),
+    ("pr", 3, 7, SizeEstimate(3120, 1872, False, ""), "432c193532acb7ac", None),
+    ("pr", 3, 8, SizeEstimate(3120, 1872, False, ""), "432c193532acb7ac", None),
 ]
 
 
 @pytest.mark.parametrize("kind, r, g, estimate, digest, trace", PINNED)
 def test_pinned_outputs(kind, r, g, estimate, digest, trace):
     estimator = estimate_pr_size if kind == "pr" else estimate_h_size
+    if isinstance(estimate, Refused):
+        with pytest.raises(SupplierError, match=estimate.match):
+            estimator(r, g)
+        return
     assert estimator(r, g) == estimate
     if digest is None:
         return
@@ -476,3 +498,45 @@ def test_pinned_outputs(kind, r, g, estimate, digest, trace):
         assert built_trace.to_dict() == trace
     assert hashlib.sha256(dumps(built).encode()).hexdigest()[:16] == digest
     assert (estimate.vertices, estimate.edges) == (built.num_vertices, built.num_edges)
+
+
+def _served(ell, g, q):
+    """The rows of the supplier table, restated."""
+    p = q - 1
+    prime = p >= 2 and all(p % d for d in range(2, p))
+    return g == 2 or (ell == 2 and (g <= 4 or (g <= 8 and prime) or q <= 2))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+@pytest.mark.parametrize("g", range(2, 11))
+def test_supplier_table(monkeypatch, ell, g):
+    for q in range(1, 8):
+        if _served(ell, g, q):
+            size, _ = construct._supplier(ell, g, q)
+            out = supply_min_degree_girth(ell, g, q)
+            assert construct._Size(out.num_vertices, out.num_edges) == size
+            assert out.is_uniform(ell)
+            assert min(out.degree(v) for v in out.vertices) >= q
+            assert girth(out, cap=g).girth.guarantees_at_least(g)
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(construct, "complete_hypergraph", _unreachable)
+            patched.setattr(construct, "_polygon_incidence_graph", _unreachable)
+            with pytest.raises(SupplierError, match="no supplier"):
+                supply_min_degree_girth(ell, g, q)
+
+
+def test_supplier_of_an_astronomical_size_is_refused(monkeypatch):
+    monkeypatch.setattr(construct, "complete_hypergraph", _unreachable)
+    with pytest.raises(SupplierError, match="10\\^"):
+        supply_min_degree_girth(60, 2, 10**40)
+
+
+def test_deterministic_builders_do_not_load_the_random_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, rmhyper.construct; print('rmhyper.randgen' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

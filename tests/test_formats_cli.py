@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,16 +138,35 @@ class TestCli:
         assert code == 1
         assert report["status"] == "property_holds"
 
-    def test_construct_pr_from_a_geometry_ignores_the_seed(self, tmp_path, capsys):
+    def test_construct_pr_is_reproducible(self, tmp_path, capsys):
         built = []
-        for seed in ("0", "1"):
-            out = tmp_path / f"pr35-{seed}.json"
-            argv = ["construct", "pr", "--r", "3", "--g", "5", "--seed", seed, "-o", str(out)]
-            assert run(argv) == 0
-            doc = json.loads(out.read_text())
-            built.append((doc["edges"], doc["parts"]))
+        for run_index in ("a", "b"):
+            out = tmp_path / f"pr35-{run_index}.json"
+            assert run(["construct", "pr", "--r", "3", "--g", "5", "-o", str(out)]) == 0
+            built.append(out.read_bytes())
         assert built[0] == built[1]
-        assert len(built[0][0]) == 372
+        doc = json.loads(built[0])
+        assert len(doc["edges"]) == 372
+        assert "seed" not in doc["meta"]
+        assert run(["construct", "pr", "--r", "3", "--g", "5", "--seed", "1"]) == 3
+        capsys.readouterr()
+
+    def test_construct_pr_without_a_supplier_is_refused_at_once(self, tmp_path, capsys):
+        out = tmp_path / "pr39.json"
+        t0 = time.perf_counter()
+        code = run(["construct", "pr", "--r", "3", "--g", "9", "-o", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 4
+        assert "no supplier for ell=2, g=9, q=6" in capsys.readouterr().err
+        assert not out.exists()
+        assert elapsed < 1.0
+
+    def test_construct_pr_four_two(self, tmp_path, capsys):
+        out = tmp_path / "pr42.json"
+        assert run(["construct", "pr", "--r", "4", "--g", "2", "-o", str(out)]) == 0
+        capsys.readouterr()
+        built = load_path(str(out))
+        assert (built.num_vertices, built.num_edges) == (66_264, 39_732)
 
     def test_construct_factor(self, tmp_path, capsys):
         pr = tmp_path / "pr.json"
@@ -156,6 +176,21 @@ class TestCli:
         capsys.readouterr()
         factor = load_path(str(out))
         assert factor.num_vertices == 9 and factor.num_edges == 6
+
+    @pytest.mark.parametrize("parts", ["30", "1000000000"])
+    def test_construct_factor_beyond_the_limits_is_refused(self, tmp_path, capsys, parts):
+        # C(30, 3) = 4060 copies of pr(3, 3) have 284,200 vertices
+        pr = tmp_path / "pr33.json"
+        assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(pr)]) == 0
+        out = tmp_path / "factor.json"
+        t0 = time.perf_counter()
+        code = run(["construct", "factor", "--input", str(pr), "--parts", parts, "-o", str(out)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith(f"refused: complete partite factor with {parts} parts")
+        assert not out.exists()
+        assert elapsed < 1.0
 
     def test_size_limit_exit_code(self, tmp_path, capsys):
         code = run(["construct", "h", "--r", "3", "--g", "3", "-o", str(tmp_path / "x.json")])
@@ -191,6 +226,18 @@ class TestCli:
         assert code == 4
         assert captured.err.startswith("refused: a carrier sample of 9283178 edges")
         assert not out.exists()
+
+    def test_random_carrier_refuses_a_huge_count_at_once(self, tmp_path, capsys):
+        # C(3000000, 1500000) alone takes minutes to compute in full
+        out = tmp_path / "x.json"
+        argv = ["random", "carrier", "--n", "3000000", "--R", "1500000", "--g", "2", "-o", str(out)]
+        t0 = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 4
+        assert capsys.readouterr().err.startswith("refused: a carrier sample of")
+        assert not out.exists()
+        assert elapsed < 5.0
 
     def test_random_search_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"

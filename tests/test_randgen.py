@@ -10,7 +10,6 @@ from rmhyper.formats import dumps
 from rmhyper.girth import girth
 from rmhyper.randgen import (
     ProbParams,
-    RetryLimitError,
     ceil_power,
     counting_inequality_holds,
     counting_threshold,
@@ -71,16 +70,14 @@ class TestRandomHighGirth:
         assert sample.edges_deleted == 0
         assert sample.target_met
 
-    def test_require_target_raises_when_unreachable(self):
+    def test_unreachable_target_returns_the_best_sample(self):
         # 5-uniform with girth >= 3 on 12 vertices packs at most
         # C(12,2)/C(5,2) = 6 edges, far below the target of 28
-        with pytest.raises(RetryLimitError) as err:
-            random_high_girth(12, 5, 3, seed=1, samples=2, require_target=True)
-        assert err.value.best.edges_kept < 28
-
-    def test_min_edges_override(self):
-        sample = random_high_girth(12, 5, 3, seed=1, min_edges=1)
-        assert sample.edges_kept >= 1
+        sample = random_high_girth(12, 5, 3, seed=1, samples=2)
+        assert not sample.target_met and sample.edge_target == 28
+        assert 1 <= sample.edges_kept <= 6
+        first = random_high_girth(12, 5, 3, seed=1, samples=1)
+        assert sample.edges_kept >= first.edges_kept
 
     def test_validation(self):
         with pytest.raises(HypergraphError):
