@@ -196,6 +196,11 @@ def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]
         return _complete_size(lo, ell), lambda: complete_hypergraph(lo, ell)
     if ell == 2 and g <= 8:
         n, p = (g + 1) // 2, q - 1
+        if n > 2 and p >= _PRIME_TEST_LIMIT:
+            raise SupplierError(
+                f"no supplier for ell={ell}, g={g}, q={q}: whether q - 1 is prime is "
+                f"decided only below {_PRIME_TEST_LIMIT}"
+            )
         if n == 2 or _is_prime(p):
             points = sum(p**i for i in range(n))
             return _Size(2 * points, q * points), lambda: _polygon_incidence_graph(n, p)
@@ -207,8 +212,33 @@ def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]
     )
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them.
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin test, exact for p < _PRIME_TEST_LIMIT."""
+    if p < 2:
+        return False
+    for a in _PRIME_TEST_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_TEST_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
@@ -292,9 +322,7 @@ def attach_edge_markers(
     n = p.num_vertices
     vmap = {v: i for i, v in enumerate(p.vertices)}
     markers = tuple(range(n, n + p.num_edges))
-    edges = [
-        sorted(vmap[v] for v in e) + [markers[pos]] for pos, e in enumerate(p.edges)
-    ]
+    edges = [(*key, markers[pos]) for pos, key in enumerate(p.base.edge_index_tuples())]
     parts = [tuple(vmap[v] for v in part) for part in p.parts]
     parts.append(markers)
     result = PartiteHypergraph(Hypergraph(range(n + p.num_edges), edges), parts)
@@ -326,6 +354,7 @@ def amalgamate(
     copy_maps: list[dict[VertexId, int]] = []
     edges: list[list[int]] = []
     other_parts: list[list[int]] = [[] for _ in range(h.num_parts)]
+    keys = h.base.edge_index_tuples()
     fresh = nf
     for fe in f.edge_index_tuples():
         cmap: dict[VertexId, int] = {}
@@ -336,7 +365,8 @@ def amalgamate(
                 cmap[v] = fresh
                 fresh += 1
         copy_maps.append(cmap)
-        edges.extend([sorted(cmap[v] for v in e) for e in h.edges])
+        at = [cmap[v] for v in h.vertices]
+        edges.extend([[at[i] for i in key] for key in keys])
         for j in range(h.num_parts):
             if j != part_index:
                 other_parts[j].extend(cmap[v] for v in h.part(j))
@@ -373,11 +403,12 @@ def complete_partite_factor(
     copy_maps: list[dict[VertexId, int]] = []
     edges: list[list[int]] = []
     parts: list[list[int]] = [[] for _ in range(num_parts)]
+    keys = f.base.edge_index_tuples()
     offset = 0
     for subset in combinations(range(num_parts), r):
         cmap = {v: offset + i for i, v in enumerate(f.vertices)}
         copy_maps.append(cmap)
-        edges.extend([sorted(cmap[v] for v in e) for e in f.edges])
+        edges.extend([[offset + i for i in key] for key in keys])
         for k, target in enumerate(subset):
             parts[target].extend(cmap[v] for v in f.part(k))
         offset += nf

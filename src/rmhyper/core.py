@@ -4,15 +4,25 @@ The two value types here, :class:`Hypergraph` and :class:`PartiteHypergraph`,
 are the carriers consumed by every other module.  Vertex identifiers are
 opaque hashables; the order in which vertices are first listed is the
 canonical order used for serialisation, tie breaking and reproducible seeded
-runs.  Values are immutable after validation, so they are safe to share
+runs.
+
+A :class:`Hypergraph` stores each edge once, as the sorted tuple of its
+vertex positions; the frozensets of vertex ids and the degrees are built
+from the tuples on first use.  The public constructor validates its input.  Derived hypergraphs
+(``without_edges``, ``induced``) keep a subset of valid, sorted tuples and
+skip the validation, and ``without_edges`` shares the vertex index with its
+parent.  Values are immutable after construction, and a lazily built cache
+holds the same tuple whichever thread builds it, so values are safe to share
 between concurrent workers without synchronisation.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
+from itertools import combinations, compress
 from typing import Hashable, Iterable, Sequence
 
 VertexId = Hashable
+_Keys = tuple[tuple[int, ...], ...]  # sorted tuples of vertex positions, in sorted order
 
 
 class HypergraphError(ValueError):
@@ -35,8 +45,15 @@ class Hypergraph:
     * every edge has at least 2 vertices,
     * edges form a set (no duplicates).
 
-    Edges are stored in a canonical order (sorted by their tuples of vertex
-    positions), so equal values produce identical serialisations.
+    Each edge is stored once, as the sorted tuple of its vertex positions
+    (:meth:`edge_index_tuples`), and the edges are kept sorted by these
+    tuples, so equal values produce identical serialisations.  The
+    frozensets of vertex ids in :attr:`edges`, and the degrees, are built
+    from the tuples on first use and cached.  :meth:`without_edges` and
+    :meth:`induced` keep a subset of already valid, already sorted tuples
+    (renumbered in increasing order for ``induced``), so they build their
+    result without validating it again; ``without_edges`` shares the vertex
+    tuple and index with its parent.
     """
 
     __slots__ = ("_vertices", "_vindex", "_edges", "_edge_indices", "_degrees")
@@ -49,32 +66,39 @@ class Hypergraph:
                 raise HypergraphError(f"duplicate vertex {v!r}")
             vindex[v] = len(vindex)
 
-        seen: set[frozenset[int]] = set()
-        keyed: list[tuple[tuple[int, ...], frozenset[VertexId]]] = []
+        keys: set[tuple[int, ...]] = set()
         for raw in edges:
             edge = frozenset(raw)
             if len(edge) < 2:
                 raise HypergraphError(f"edge {sorted(map(repr, edge))} has fewer than 2 vertices")
             try:
-                key = tuple(sorted(vindex[v] for v in edge))
+                key = tuple(sorted([vindex[v] for v in edge]))
             except KeyError as exc:
                 raise HypergraphError(f"edge contains unknown vertex {exc.args[0]!r}") from None
-            fkey = frozenset(key)
-            if fkey in seen:
-                raise HypergraphError(f"duplicate edge {{{', '.join(map(repr, sorted(key)))}}}")
-            seen.add(fkey)
-            keyed.append((key, edge))
-        keyed.sort(key=lambda item: item[0])
+            if key in keys:
+                raise HypergraphError(f"duplicate edge {{{', '.join(map(repr, key))}}}")
+            keys.add(key)
+        self._adopt(vs, vindex, tuple(sorted(keys)))
 
-        self._vertices = vs
+    @classmethod
+    def _unchecked(
+        cls, vertices: tuple[VertexId, ...], vindex: dict[VertexId, int], keys: _Keys
+    ) -> "Hypergraph":
+        """A hypergraph from parts that already meet every invariant: sorted,
+        distinct position tuples of at least 2 positions each, in sorted
+        order."""
+        h = cls.__new__(cls)
+        h._adopt(vertices, vindex, keys)
+        return h
+
+    def _adopt(
+        self, vertices: tuple[VertexId, ...], vindex: dict[VertexId, int], keys: _Keys
+    ) -> None:
+        self._vertices = vertices
         self._vindex = vindex
-        self._edges = tuple(edge for _, edge in keyed)
-        self._edge_indices = tuple(key for key, _ in keyed)
-        degrees = [0] * len(vs)
-        for key in self._edge_indices:
-            for i in key:
-                degrees[i] += 1
-        self._degrees = tuple(degrees)
+        self._edge_indices = keys
+        self._edges: tuple[frozenset[VertexId], ...] | None = None
+        self._degrees: tuple[int, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -84,6 +108,12 @@ class Hypergraph:
 
     @property
     def edges(self) -> tuple[frozenset[VertexId], ...]:
+        """Edges as frozensets of vertex ids, in canonical edge order."""
+        if self._edges is None:
+            # Every thread that gets here builds an equal tuple, so the
+            # unsynchronised write is safe on a shared value.
+            vs = self._vertices
+            self._edges = tuple(frozenset([vs[i] for i in key]) for key in self._edge_indices)
         return self._edges
 
     @property
@@ -92,7 +122,7 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._edge_indices)
 
     def index_of(self, v: VertexId) -> int:
         """Position of ``v`` in the canonical vertex order."""
@@ -105,9 +135,27 @@ class Hypergraph:
         """Edges as sorted tuples of vertex positions, in canonical edge order."""
         return self._edge_indices
 
+    def edge_position(self, edge: Iterable[VertexId]) -> int | None:
+        """Canonical position of ``edge``, or None if it is not an edge (also
+        when it holds a vertex that is not in the hypergraph)."""
+        try:
+            key = tuple(sorted({self._vindex[v] for v in edge}))
+        except KeyError:
+            return None
+        keys = self._edge_indices
+        pos = bisect_left(keys, key)
+        return pos if pos < len(keys) and keys[pos] == key else None
+
     def degree(self, v: VertexId) -> int:
         """Number of edges containing ``v``."""
-        return self._degrees[self.index_of(v)]
+        i = self.index_of(v)
+        if self._degrees is None:  # built once, like the edges view
+            degrees = [0] * len(self._vertices)
+            for key in self._edge_indices:
+                for j in key:
+                    degrees[j] += 1
+            self._degrees = tuple(degrees)
+        return self._degrees[i]
 
     def edges_containing(self, v: VertexId) -> tuple[int, ...]:
         """Canonical positions of the edges containing ``v``, by a scan of
@@ -118,14 +166,14 @@ class Hypergraph:
     def is_uniform(self, r: int) -> bool:
         """True iff every edge has exactly ``r`` vertices (vacuously true)."""
         validate_uniformity(r)
-        return all(len(e) == r for e in self._edges)
+        return all(len(key) == r for key in self._edge_indices)
 
     def uniformity(self) -> int | None:
         """Common edge size if the hypergraph is uniform, else None.
 
         An edgeless hypergraph has no witnessed uniformity and returns None.
         """
-        sizes = {len(e) for e in self._edges}
+        sizes = set(map(len, self._edge_indices))
         if len(sizes) == 1:
             return sizes.pop()
         return None
@@ -138,24 +186,35 @@ class Hypergraph:
         for v in keep_set:
             if v not in self._vindex:
                 raise HypergraphError(f"unknown vertex {v!r}")
-        vs = tuple(v for v in self._vertices if v in keep_set)
-        es = [e for e in self._edges if e <= keep_set]
-        return Hypergraph(vs, es)
+        kept = [i for i, v in enumerate(self._vertices) if v in keep_set]
+        renumber = {old: new for new, old in enumerate(kept)}
+        vs = tuple(self._vertices[i] for i in kept)
+        keys = tuple(
+            tuple(renumber[i] for i in key)
+            for key in self._edge_indices
+            if all(i in renumber for i in key)
+        )
+        return Hypergraph._unchecked(vs, {v: i for i, v in enumerate(vs)}, keys)
 
-    def without_edges(self, drop: Iterable[frozenset[VertexId]]) -> "Hypergraph":
-        """Copy with the given edges removed; vertices are kept."""
-        drop_set = {frozenset(e) for e in drop}
-        return Hypergraph(self._vertices, [e for e in self._edges if e not in drop_set])
+    def without_edges(self, drop: Iterable[Iterable[VertexId]]) -> "Hypergraph":
+        """Copy with the given edges removed; vertices are kept.  Entries
+        that are not edges are ignored."""
+        keep = [True] * len(self._edge_indices)
+        for pos in map(self.edge_position, drop):
+            if pos is not None:
+                keep[pos] = False
+        keys = tuple(compress(self._edge_indices, keep))
+        return Hypergraph._unchecked(self._vertices, self._vindex, keys)
 
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and self._edge_indices == other._edge_indices
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self._edge_indices))
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.num_vertices} vertices, {self.num_edges} edges)"
@@ -188,8 +247,9 @@ class PartiteHypergraph:
         if len(part_of) != base.num_vertices:
             missing = [v for v in base.vertices if v not in part_of]
             raise HypergraphError(f"parts do not cover vertices {missing!r}")
-        for pos, edge in enumerate(base.edges):
-            hits = [part_of[v] for v in edge]
+        part_at = [part_of[v] for v in base.vertices]
+        for pos, key in enumerate(base.edge_index_tuples()):
+            hits = [part_at[i] for i in key]
             if len(set(hits)) != len(hits):
                 raise HypergraphError(
                     f"edge #{pos} meets one part more than once (parts {sorted(hits)})"

@@ -26,16 +26,13 @@ def to_json_dict(
     h: Hypergraph | PartiteHypergraph, meta: dict[str, Any] | None = None
 ) -> dict[str, Any]:
     base = h.base if isinstance(h, PartiteHypergraph) else h
-    order = {v: i for i, v in enumerate(base.vertices)}
+    vs = base.vertices
     doc: dict[str, Any] = {
-        "vertices": list(base.vertices),
-        "edges": sorted(
-            (sorted(e, key=order.__getitem__) for e in base.edges),
-            key=lambda e: [order[v] for v in e],
-        ),
+        "vertices": list(vs),
+        "edges": [[vs[i] for i in key] for key in base.edge_index_tuples()],
     }
     if isinstance(h, PartiteHypergraph):
-        doc["parts"] = [sorted(p, key=order.__getitem__) for p in h.parts]
+        doc["parts"] = [list(p) for p in h.parts]
     if meta is not None:
         doc["meta"] = meta
     return doc
@@ -117,14 +114,14 @@ def _dot_id(prefix: str, value: Any) -> str:
 def to_dot(h: Hypergraph | PartiteHypergraph) -> str:
     """Bipartite incidence graph in DOT: round vertex nodes, boxed edge nodes."""
     base = h.base if isinstance(h, PartiteHypergraph) else h
-    order = {v: i for i, v in enumerate(base.vertices)}
+    vs = base.vertices
     lines = ["graph incidence {"]
-    for v in base.vertices:
+    for v in vs:
         lines.append(f"  {_dot_id('v', v)} [shape=circle];")
     for pos in range(base.num_edges):
         lines.append(f"  {_dot_id('e', pos)} [shape=box];")
-    for pos, edge in enumerate(base.edges):
-        for v in sorted(edge, key=order.__getitem__):
-            lines.append(f"  {_dot_id('v', v)} -- {_dot_id('e', pos)};")
+    for pos, key in enumerate(base.edge_index_tuples()):
+        for i in key:
+            lines.append(f"  {_dot_id('v', vs[i])} -- {_dot_id('e', pos)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

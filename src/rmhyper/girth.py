@@ -51,9 +51,8 @@ class CycleWitness:
             raise HypergraphError("witness edges are not distinct")
         if len(set(self.vertices)) != g:
             raise HypergraphError("witness vertices are not distinct")
-        edge_set = set(h.edges)
         for e in self.edges:
-            if e not in edge_set:
+            if h.edge_position(e) is None:
                 raise HypergraphError(f"witness edge {sorted(map(repr, e))} not in hypergraph")
         for i, x in enumerate(self.vertices):
             if x not in self.edges[i] or x not in self.edges[(i + 1) % g]:
@@ -208,8 +207,9 @@ def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> C
     cycle = cycle[start:] + cycle[:start]
     vertex_nodes = cycle[0::2]
     edge_nodes = cycle[1::2]
-    vertices = tuple(h.vertices[i] for i in vertex_nodes)
-    edges = tuple(h.edges[e - n] for e in edge_nodes)
+    vs, keys = h.vertices, h.edge_index_tuples()
+    vertices = tuple(vs[i] for i in vertex_nodes)
+    edges = tuple(frozenset([vs[i] for i in keys[e - n]]) for e in edge_nodes)
     g = len(vertices)
     witness = CycleWitness(edges=tuple(edges[(i - 1) % g] for i in range(g)), vertices=vertices)
     witness.validate(h)

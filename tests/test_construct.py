@@ -2,9 +2,10 @@ import hashlib
 import random
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,36 @@ class TestSupplier:
         for ell, g, q in [(3, 3, 6), (3, 3, 2), (3, 3, 3), (3, 4, 2), (2, 9, 6), (2, 5, 5)]:
             with pytest.raises(SupplierError, match="no supplier"):
                 supply_min_degree_girth(ell, g, q)
+
+    def test_primality_matches_trial_division(self):
+        for p in range(10**5):
+            expected = p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+            assert construct._is_prime(p) == expected, p
+        # 2^61 - 1 is prime; 2^67 - 1 and the least strong pseudoprime to
+        # the bases 2..23 are not
+        assert construct._is_prime(2**61 - 1)
+        assert not construct._is_prime(2**67 - 1)
+        assert not construct._is_prime(3_825_123_056_546_413_051)
+
+    def test_plane_over_a_huge_prime_is_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
+        start = time.perf_counter()
+        with pytest.raises(SupplierError, match="exceeds the limits"):
+            supply_min_degree_girth(2, 5, 2**61)
+        assert time.perf_counter() - start < 1
+
+    def test_primality_beyond_the_exact_range_is_refused(self, monkeypatch):
+        # the bound is the least strong pseudoprime to the 12 bases, which
+        # the test would call prime
+        limit = construct._PRIME_TEST_LIMIT
+        assert limit == 399_165_290_221 * 798_330_580_441
+        assert construct._is_prime(limit)
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
+        for g in (5, 8):
+            with pytest.raises(SupplierError, match="decided only below"):
+                supply_min_degree_girth(2, g, limit + 1)
+        with pytest.raises(SupplierError, match="exceeds the limits"):
+            supply_min_degree_girth(2, 4, limit + 1)  # K_{q,q} needs no prime
 
     @pytest.mark.parametrize("g", [5, 9])
     def test_cycle_route(self, g):

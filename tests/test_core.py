@@ -124,6 +124,63 @@ class TestDegreeInducedUnion:
                 assert {frozenset(m[v] for v in e) for e in h.edges} == set(back.edges)
 
 
+def _assert_same_value(derived, built):
+    """``derived`` equals a hypergraph validated from scratch, in every view."""
+    assert derived == built and hash(derived) == hash(built)
+    assert derived.vertices == built.vertices
+    assert derived.edge_index_tuples() == built.edge_index_tuples()
+    assert derived.edges == built.edges
+    assert [derived.degree(v) for v in derived.vertices] == [built.degree(v) for v in built.vertices]
+    assert derived.uniformity() == built.uniformity()
+
+
+class TestDerivedEqualsValidated:
+    """``without_edges`` and ``induced`` skip validation; their results must
+    be the values the validating constructor gives."""
+
+    def test_without_edges(self):
+        rng = random.Random(1212)
+        for _ in range(300):
+            h = random_hypergraph(rng, max_vertices=9, max_edges=12)
+            drop = rng.sample(h.edges, rng.randint(0, h.num_edges))
+            kept = [e for e in h.edges if e not in drop]
+            _assert_same_value(h.without_edges(drop), Hypergraph(h.vertices, kept))
+
+    def test_induced(self):
+        rng = random.Random(1213)
+        for _ in range(300):
+            h = random_hypergraph(rng, max_vertices=9, max_edges=12)
+            keep = set(rng.sample(h.vertices, rng.randint(0, h.num_vertices)))
+            vs = [v for v in h.vertices if v in keep]
+            es = [e for e in h.edges if e <= keep]
+            _assert_same_value(h.induced(keep), Hypergraph(vs, es))
+
+    def test_derived_of_derived(self):
+        rng = random.Random(1214)
+        for _ in range(100):
+            h = random_hypergraph(rng, max_vertices=9, max_edges=12)
+            d = h.without_edges(h.edges[:1]).induced(h.vertices[1:]).without_edges(h.edges[-1:])
+            es = [e for e in h.edges[1:-1] if h.vertices[0] not in e]
+            _assert_same_value(d, Hypergraph(h.vertices[1:], es))
+
+    def test_dropping_what_is_not_an_edge_is_a_no_op(self):
+        h = Hypergraph(["x", "y", "z", "w"], [{"x", "y"}, {"y", "z", "w"}])
+        for drop in ([{"x", "z"}], [{"y", "z"}], [{"x"}], [set()], [{"x", "q"}], [{"q", "r"}]):
+            _assert_same_value(h.without_edges(drop), h)
+        # repeated vertices and repeated entries name the edge once
+        _assert_same_value(
+            h.without_edges([["y", "x", "x"], {"x", "y"}, {"x", "q"}]),
+            Hypergraph(h.vertices, [{"y", "z", "w"}]),
+        )
+
+    def test_edge_position(self):
+        h = Hypergraph(["x", "y", "z", "w"], [{"y", "z", "w"}, {"x", "y"}])
+        assert h.edge_position(["y", "x"]) == 0
+        assert h.edge_position({"w", "z", "y"}) == 1
+        assert h.edge_position({"y", "z"}) is None
+        assert h.edge_position({"y", "q"}) is None
+
+
 class TestUniformity:
     def test_uniform_checks(self):
         assert path_graph().is_uniform(2)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rmhyper.construct import build_part_rainbow_forced
-from rmhyper.core import Hypergraph, complete_hypergraph
+from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.girth import (
     EnumerationBudgetError,
     count_cycles,
@@ -50,6 +50,15 @@ class TestGirth:
         res = girth(cycle_graph(3), cap=5)
         assert res.girth.value == 3
         res.witness.validate(cycle_graph(3))
+
+    def test_witness_of_another_hypergraph_is_rejected(self):
+        witness = girth(cycle_graph(3), cap=5).witness
+        for other in (
+            Hypergraph(range(3), [[0, 1], [1, 2], [0, 1, 2]]),  # one edge missing
+            Hypergraph(range(1, 4), [[1, 2], [2, 3], [3, 1]]),  # vertex 0 unknown
+        ):
+            with pytest.raises(HypergraphError, match="not in hypergraph"):
+                witness.validate(other)
 
     def test_long_cycle_beyond_cap(self):
         res = girth(cycle_graph(9), cap=3)
