@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Subcommands cover construction, girth computation, coloring searches, random
-generation, the counting bound and format conversion.  Exit codes follow the
-three-valued verdicts so shell pipelines can branch on them:
+generation, the counting bound and format conversion.  ``construct`` and
+``random`` take their kind as a subcommand that accepts exactly its own
+options, so an option of another kind is a usage error.  Exit codes follow
+the three-valued verdicts so shell pipelines can branch on them:
 
 * 0 - witness found / operation succeeded
 * 1 - property holds (search exhausted) / girth infinite
 * 2 - budget or cap exceeded
-* 3 - bad input (files, formats, arguments)
+* 3 - bad input (unreadable inputs, unwritable outputs, formats, arguments)
 * 4 - size limit refusal / supplier failure
 * 5 - unexpected internal error (a crash is never reported as a verdict)
 
@@ -18,6 +20,7 @@ resolved against $RMHYPER_OUTPUT_DIR when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,11 +29,12 @@ from typing import Any, Sequence
 
 from . import __version__
 from .coloring import (
+    DEFAULT_BUDGET,
     VerdictStatus,
     find_good_coloring,
     find_part_rainbow_bad,
 )
-from .core import Hypergraph, HypergraphError, PartiteHypergraph
+from .core import Hypergraph, PartiteHypergraph
 from .construct import (
     BuildLimits,
     SizeEstimate,
@@ -41,9 +45,11 @@ from .construct import (
     build_rm_unavoidable,
     complete_partite_factor,
 )
-from .formats import FormatError, dumps, load_meta, load_path, to_dot
+from .formats import FormatError, dumps, load_meta, loads, to_dot
 from .girth import girth
 from .randgen import (
+    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_TRIES,
     ProbParams,
     counting_threshold,
     random_high_girth,
@@ -85,19 +91,28 @@ def _write_text(text: str, path: str | None) -> None:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit(h: Hypergraph | PartiteHypergraph, meta: dict[str, Any], out: str | None) -> None:
     _write_text(dumps(h, meta=meta), out)
 
 
-def _load(path: str) -> Hypergraph | PartiteHypergraph:
+def _read_text(path: str) -> str:
     try:
-        return load_path(path)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        with open(path, encoding="utf-8") as fp:
+            return fp.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _load(path: str, text: str | None = None) -> Hypergraph | PartiteHypergraph:
+    try:
+        return loads(_read_text(path) if text is None else text)
     except FormatError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -109,28 +124,25 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "max_vertices": args.max_vertices,
         "max_edges": args.max_edges,
     }
-    try:
-        if args.kind == "pr":
-            meta.update({"r": args.r, "g": args.g})
-            _emit(build_part_rainbow_forced(args.r, args.g, limits), meta, args.output)
-        elif args.kind == "h":
-            meta.update({"r": args.r, "g": args.g})
-            result, trace = build_rm_unavoidable(args.r, args.g, limits)
-            meta["trace"] = trace.to_dict()
-            _emit(result, meta, args.output)
-        else:  # factor
-            loaded = _load(args.input)
-            if not isinstance(loaded, PartiteHypergraph):
-                raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
-            meta.update({"parts": args.parts, "input": args.input})
-            # the totals of C(a, r) copies, without the per-part sums that cost O(a)
-            copies = comb(args.parts, loaded.num_parts) if args.parts >= loaded.num_parts else 0
-            predicted = SizeEstimate(copies * loaded.num_vertices, copies * loaded.num_edges, False)
-            _refuse_beyond(predicted, f"complete partite factor with {args.parts} parts", limits)
-            factor, _ = complete_partite_factor(loaded, args.parts)
-            _emit(factor, meta, args.output)
-    except (SupplierError, HypergraphError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_LIMIT if isinstance(exc, SupplierError) else EXIT_BAD_INPUT)
+    if args.kind == "pr":
+        meta.update({"r": args.r, "g": args.g})
+        _emit(build_part_rainbow_forced(args.r, args.g, limits), meta, args.output)
+    elif args.kind == "h":
+        meta.update({"r": args.r, "g": args.g})
+        result, trace = build_rm_unavoidable(args.r, args.g, limits)
+        meta["trace"] = trace.to_dict()
+        _emit(result, meta, args.output)
+    else:  # factor
+        loaded = _load(args.input)
+        if not isinstance(loaded, PartiteHypergraph):
+            raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
+        meta.update({"parts": args.parts, "input": args.input})
+        # the totals of C(a, r) copies, without the per-part sums that cost O(a)
+        copies = comb(args.parts, loaded.num_parts) if args.parts >= loaded.num_parts else 0
+        predicted = SizeEstimate(copies * loaded.num_vertices, copies * loaded.num_edges, False)
+        _refuse_beyond(predicted, f"complete partite factor with {args.parts} parts", limits)
+        factor, _ = complete_partite_factor(loaded, args.parts)
+        _emit(factor, meta, args.output)
     return EXIT_WITNESS
 
 
@@ -173,25 +185,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _VERDICT_EXIT[verdict.status]
 
 
-def _cmd_random(args: argparse.Namespace) -> int:
-    if args.kind == "carrier":
-        sample = random_high_girth(args.n, args.R, args.g, args.seed)
-        meta = {
-            "command": "random carrier",
-            "n": args.n,
-            "R": args.R,
-            "g": args.g,
-            "seed": args.seed,
-            "edge_target": sample.edge_target,
-            "edges_kept": sample.edges_kept,
-            "target_met": sample.target_met,
-            "edges_deleted": sample.edges_deleted,
-        }
-        _emit(sample.hypergraph, meta, args.output)
-        if args.require_target and not sample.target_met:
-            return EXIT_BUDGET
-        return EXIT_WITNESS
+def _cmd_carrier(args: argparse.Namespace) -> int:
+    sample = random_high_girth(args.n, args.R, args.g, args.seed)
+    meta = {
+        "command": "random carrier",
+        "n": args.n,
+        "R": args.R,
+        "g": args.g,
+        "seed": args.seed,
+        "edge_target": sample.edge_target,
+        "edges_kept": sample.edges_kept,
+        "target_met": sample.target_met,
+        "edges_deleted": sample.edges_deleted,
+    }
+    _emit(sample.hypergraph, meta, args.output)
+    if args.require_target and not sample.target_met:
+        return EXIT_BUDGET
+    return EXIT_WITNESS
 
+
+def _cmd_search(args: argparse.Namespace) -> int:
     params = ProbParams(
         n=args.n, r=args.r, g=args.g, seed=args.seed, tries=args.tries, budget=args.budget
     )
@@ -220,7 +233,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     try:
         result = counting_threshold(args.r, args.g)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # no threshold found or decided for these inputs
         raise CliError(str(exc))
     report = {
         "r": args.r,
@@ -235,110 +248,95 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    h = _load(args.file)
-    if args.format == "json":
-        with open(args.file, "r", encoding="utf-8") as fp:
-            meta = load_meta(fp.read())
-        _emit(h, meta or None, args.output)
-    elif args.format == "dot":
-        _write_text(to_dot(h), args.output)
-    else:
-        raise CliError(f"unknown format {args.format!r}")
+    text = _read_text(args.file)
+    h = _load(args.file, text)
+    out = dumps(h, meta=load_meta(text) or None) if args.format == "json" else to_dot(h)
+    _write_text(out, args.output)
     return EXIT_WITNESS
 
 
+def _command(sub, name: str, func, summary: str | None = None) -> argparse.ArgumentParser:
+    """A leaf subcommand that runs ``func`` and writes to ``-o`` (default stdout)."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=func)
+    return p
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rmhyper", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rmhyper {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="build a construction and write JSON")
-    p_construct.add_argument("kind", choices=["pr", "h", "factor"])
-    p_construct.add_argument("--r", type=int, help="uniformity (pr, h)")
-    p_construct.add_argument("--g", type=int, help="girth target (pr, h)")
-    p_construct.add_argument("--input", help="partite hypergraph JSON (factor)")
-    p_construct.add_argument("--parts", type=int, help="part count a (factor)")
-    p_construct.add_argument("--max-vertices", type=int, default=BuildLimits().max_vertices)
-    p_construct.add_argument("--max-edges", type=int, default=BuildLimits().max_edges)
-    p_construct.add_argument("-o", "--output", default=None)
-    p_construct.set_defaults(func=_cmd_construct)
+    kinds = p_construct.add_subparsers(dest="kind", required=True)
+    limits = BuildLimits()
+    for kind in ("pr", "h", "factor"):
+        p = _command(kinds, kind, _cmd_construct)
+        if kind == "factor":
+            p.add_argument("--input", required=True, help="partite hypergraph JSON")
+            p.add_argument("--parts", type=int, required=True, help="part count a")
+        else:
+            p.add_argument("--r", type=int, required=True, help="uniformity")
+            p.add_argument("--g", type=int, required=True, help="girth target")
+        p.add_argument("--max-vertices", type=int, default=limits.max_vertices)
+        p.add_argument("--max-edges", type=int, default=limits.max_edges)
 
-    p_girth = sub.add_parser("girth", help="exact girth up to a cap")
+    p_girth = _command(sub, "girth", _cmd_girth, "exact girth up to a cap")
     p_girth.add_argument("file")
     p_girth.add_argument("--cap", type=int, default=8)
     p_girth.add_argument("--witness", action="store_true")
-    p_girth.add_argument("-o", "--output", default=None)
-    p_girth.set_defaults(func=_cmd_girth)
 
-    p_solve = sub.add_parser("solve", help="coloring searches")
+    p_solve = _command(sub, "solve", _cmd_solve, "coloring searches")
     p_solve.add_argument("kind", choices=["good", "part-rainbow"])
     p_solve.add_argument("file")
-    p_solve.add_argument("--budget", type=int, default=10_000_000)
-    p_solve.add_argument("-o", "--output", default=None)
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_random = sub.add_parser("random", help="randomized generation")
-    p_random.add_argument("kind", choices=["carrier", "search"])
-    p_random.add_argument("--n", type=int, required=True)
-    p_random.add_argument("--R", type=int, help="carrier uniformity (carrier)")
-    p_random.add_argument("--r", type=int, help="target uniformity (search)")
-    p_random.add_argument("--g", type=int, required=True)
-    p_random.add_argument("--seed", type=int, default=0)
-    p_random.add_argument("--tries", type=int, default=64)
-    p_random.add_argument("--budget", type=int, default=2_000_000)
-    p_random.add_argument("--require-target", action="store_true")
-    p_random.add_argument("-o", "--output", default=None)
-    p_random.set_defaults(func=_cmd_random)
+    kinds = p_random.add_subparsers(dest="kind", required=True)
+    carrier = _command(kinds, "carrier", _cmd_carrier, "high-girth carrier by cycle deletion")
+    search = _command(kinds, "search", _cmd_search, "search for a certified unavoidable instance")
+    for p, uniformity in ((carrier, "--R"), (search, "--r")):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument(uniformity, type=int, required=True, help="uniformity")
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+    carrier.add_argument("--require-target", action="store_true")
+    search.add_argument("--tries", type=int, default=DEFAULT_TRIES)
+    search.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
 
-    p_bound = sub.add_parser("bound", help="counting-inequality threshold")
+    p_bound = _command(sub, "bound", _cmd_bound, "counting-inequality threshold")
     p_bound.add_argument("--r", type=int, required=True)
     p_bound.add_argument("--g", type=int, required=True)
-    p_bound.add_argument("-o", "--output", default=None)
-    p_bound.set_defaults(func=_cmd_bound)
 
-    p_convert = sub.add_parser("convert", help="canonical JSON or DOT")
+    p_convert = _command(sub, "convert", _cmd_convert, "canonical JSON or DOT")
     p_convert.add_argument("file")
     fmt = p_convert.add_mutually_exclusive_group(required=True)
     fmt.add_argument("--json", dest="format", action="store_const", const="json")
     fmt.add_argument("--dot", dest="format", action="store_const", const="dot")
-    p_convert.add_argument("-o", "--output", default=None)
-    p_convert.set_defaults(func=_cmd_convert)
 
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        missing = []
-        if args.command == "construct":
-            if args.kind in ("pr", "h"):
-                missing = [n for n in ("r", "g") if getattr(args, n) is None]
-            else:
-                missing = [n for n in ("input", "parts") if getattr(args, n) is None]
-        elif args.command == "random":
-            if args.kind == "carrier" and args.R is None:
-                missing = ["R"]
-            if args.kind == "search" and args.r is None:
-                missing = ["r"]
-        if missing:
-            raise CliError(f"missing required options: {', '.join('--' + m for m in missing)}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, f"error: {exc}"
     except SizeLimitError as exc:
         est = exc.estimate
         size = "astronomical" if est.astronomical else f"{est.vertices} vertices / {est.edges} edges"
-        print(f"refused: {exc} [estimate: {size}]", file=sys.stderr)
-        return EXIT_LIMIT
-    except (HypergraphError, FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        code, message = EXIT_LIMIT, f"refused: {exc} [estimate: {size}]"
+    except SupplierError as exc:
+        code, message = EXIT_LIMIT, f"error: {exc}"
+    except ValueError as exc:  # HypergraphError, FormatError and bad parameters
+        code, message = EXIT_BAD_INPUT, f"error: {exc}"
     except Exception as exc:  # any other exit code would read as a verdict
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        code, message = EXIT_ERROR, f"error: unexpected {type(exc).__name__}: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
+from typing import Sequence
 
 from .core import Hypergraph, HypergraphError, VertexId, complete_hypergraph
 
@@ -105,15 +106,16 @@ class GirthResult:
     witness: CycleWitness | None
 
 
-def _incidence_adjacency(h: Hypergraph) -> tuple[list[list[int]], bool]:
+def _incidence_adjacency(h: Hypergraph) -> tuple[list[Sequence[int]], bool]:
     """Adjacency lists of the incidence graph, and whether it is a forest.
 
-    Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges.  The graph stays a
+    Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges; an edge node's list
+    is the edge's own tuple of vertex positions.  The graph stays a
     forest exactly while every edge node joins vertices of distinct
     components, which a union-find over vertex positions tracks.
     """
     n = h.num_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list = [[] for _ in range(n)]
     comp = list(range(n))
 
     def find(x: int) -> int:
@@ -127,7 +129,7 @@ def _incidence_adjacency(h: Hypergraph) -> tuple[list[list[int]], bool]:
         enode = n + pos
         for vi in key:
             adj[vi].append(enode)
-        adj.append(list(key))
+        adj.append(key)
         if forest:
             roots = {find(vi) for vi in key}
             forest = len(roots) == len(key)
@@ -138,7 +140,7 @@ def _incidence_adjacency(h: Hypergraph) -> tuple[list[list[int]], bool]:
 
 
 def _scan_from_root(
-    adj: list[list[int]], root: int, bound: int, level: list[int], parent: list[int], base: int
+    adj: list[Sequence[int]], root: int, bound: int, level: list[int], parent: list[int], base: int
 ) -> tuple[int, int, int] | None:
     """BFS from ``root`` for a closed walk shorter than ``bound``.
 

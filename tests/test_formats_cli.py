@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -368,3 +369,69 @@ class TestCli:
         assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(target)]) == 0
         capsys.readouterr()
         assert target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["girth", "{dir}", "-o", "{out}"],
+            ["convert", "{dir}", "--json", "-o", "{out}"],
+            ["construct", "factor", "--input", "{dir}", "--parts", "3", "-o", "{out}"],
+            ["bound", "--r", "3", "--g", "3", "-o", "{missing}/x.json"],
+        ],
+    )
+    def test_file_errors_are_bad_input(self, tmp_path, capsys, argv):
+        # a directory as the input, or an output into a missing directory
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out, missing = tmp_path / "out.json", tmp_path / "missing"
+        fill = {"dir": str(folder), "out": str(out), "missing": str(missing)}
+        assert run([a.format(**fill) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot ")
+        assert not captured.err.startswith("error: unexpected")
+        assert not out.exists() and not missing.exists()
+        assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize("g, code, kept", [("3", 2, 3), ("2", 0, 84)])
+    def test_require_target(self, tmp_path, capsys, g, code, kept):
+        # at seed 0, n = 12, R = 5: g = 3 keeps 3 of a 28-edge target, g = 2
+        # keeps all 84 sampled edges against a target of 42
+        out = tmp_path / "carrier.json"
+        argv = ["random", "carrier", "--n", "12", "--R", "5", "--g", g, "--require-target"]
+        assert run(argv + ["-o", str(out)]) == code
+        capsys.readouterr()
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["edges_kept"], meta["target_met"]) == (kept, code == 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "h", "--r", "3", "--g", "2", "--input", "x"],
+            ["construct", "factor", "--input", "{pr}", "--parts", "3", "--r", "3"],
+            ["random", "carrier", "--n", "12", "--R", "5", "--g", "3", "--tries", "4"],
+            ["random", "search", "--n", "8", "--r", "3", "--g", "2", "--R", "5"],
+            ["random", "search", "--n", "8", "--r", "3", "--g", "2", "--require-target"],
+        ],
+    )
+    def test_options_of_another_kind_are_refused(self, tmp_path, capsys, argv):
+        pr = tmp_path / "pr.json"
+        assert run(["construct", "pr", "--r", "2", "--g", "3", "-o", str(pr)]) == 0
+        out = tmp_path / "out.json"
+        assert run([a.format(pr=pr) for a in argv] + ["-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: ")
+        assert not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    # every example of the README's CLI block is accepted by the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("rmhyper ")]
+    assert len(examples) >= 10
+    parser = cli.build_parser()
+    for line in examples:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
