@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from math import comb
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from . import __version__
 from .coloring import (
@@ -45,7 +45,7 @@ from .construct import (
     build_rm_unavoidable,
     complete_partite_factor,
 )
-from .formats import FormatError, dumps, load_meta, loads, to_dot
+from .formats import FormatError, _loads_with_meta, dumps, loads, to_dot
 from .girth import girth
 from .randgen import (
     DEFAULT_SEARCH_BUDGET,
@@ -82,6 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 OUTPUT_DIR_ENV = "RMHYPER_OUTPUT_DIR"
+_T = TypeVar("_T")
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -110,9 +111,10 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _load(path: str, text: str | None = None) -> Hypergraph | PartiteHypergraph:
+def _load(path: str, parse: Callable[[str], _T]) -> _T:
+    """The file at ``path`` through ``parse``; a format error is bad input."""
     try:
-        return loads(_read_text(path) if text is None else text)
+        return parse(_read_text(path))
     except FormatError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -133,7 +135,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         meta["trace"] = trace.to_dict()
         _emit(result, meta, args.output)
     else:  # factor
-        loaded = _load(args.input)
+        loaded = _load(args.input, loads)
         if not isinstance(loaded, PartiteHypergraph):
             raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
         meta.update({"parts": args.parts, "input": args.input})
@@ -147,7 +149,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_girth(args: argparse.Namespace) -> int:
-    h = _load(args.file)
+    h = _load(args.file, loads)
     base = h.base if isinstance(h, PartiteHypergraph) else h
     result = girth(base, cap=args.cap)
     report: dict[str, Any] = {"girth": str(result.girth), "cap": args.cap}
@@ -166,7 +168,7 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
+    loaded = _load(args.file, loads)
     if args.kind == "good":
         base = loaded.base if isinstance(loaded, PartiteHypergraph) else loaded
         verdict = find_good_coloring(base, budget=args.budget)
@@ -248,9 +250,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    text = _read_text(args.file)
-    h = _load(args.file, text)
-    out = dumps(h, meta=load_meta(text) or None) if args.format == "json" else to_dot(h)
+    h, meta = _load(args.file, _loads_with_meta)
+    out = dumps(h, meta=meta or None) if args.format == "json" else to_dot(h)
     _write_text(out, args.output)
     return EXIT_WITNESS
 

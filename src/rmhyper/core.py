@@ -234,26 +234,28 @@ class PartiteHypergraph:
     __slots__ = ("_base", "_parts", "_part_of")
 
     def __init__(self, base: Hypergraph, parts: Sequence[Iterable[VertexId]]):
+        vs, vindex = base.vertices, base._vindex
         part_of: dict[VertexId, int] = {}
         norm: list[tuple[VertexId, ...]] = []
         for i, raw in enumerate(parts):
-            members = set(raw)
-            for v in members:
-                base.index_of(v)  # raises on unknown vertex
+            positions = []
+            for v in set(raw):
+                if v not in vindex:
+                    raise HypergraphError(f"unknown vertex {v!r}")
                 if v in part_of:
                     raise HypergraphError(f"vertex {v!r} appears in parts {part_of[v]} and {i}")
                 part_of[v] = i
-            norm.append(tuple(sorted(members, key=base.index_of)))
-        if len(part_of) != base.num_vertices:
-            missing = [v for v in base.vertices if v not in part_of]
+                positions.append(vindex[v])
+            positions.sort()
+            norm.append(tuple([vs[p] for p in positions]))
+        if len(part_of) != len(vs):
+            missing = [v for v in vs if v not in part_of]
             raise HypergraphError(f"parts do not cover vertices {missing!r}")
-        part_at = [part_of[v] for v in base.vertices]
+        part_at = [part_of[v] for v in vs]
         for pos, key in enumerate(base.edge_index_tuples()):
-            hits = [part_at[i] for i in key]
-            if len(set(hits)) != len(hits):
-                raise HypergraphError(
-                    f"edge #{pos} meets one part more than once (parts {sorted(hits)})"
-                )
+            if len({part_at[i] for i in key}) != len(key):
+                hits = sorted(part_at[i] for i in key)
+                raise HypergraphError(f"edge #{pos} meets one part more than once (parts {hits})")
         self._base = base
         self._parts = tuple(norm)
         self._part_of = part_of

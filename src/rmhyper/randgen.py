@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, log, log1p
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import BuildLimits, SizeEstimate, SizeLimitError
@@ -210,36 +210,60 @@ def _subset_count(r: int) -> int:
     return comb((r - 1) ** 2 + 1, r)
 
 
+def _first_holding(holds, n_max: int) -> int | None:
+    """Smallest n >= 2 with ``holds(n)``, for a ``holds`` that is monotone in
+    n: exponential search finds a satisfying n, binary search isolates the
+    boundary.  None if no n up to ``n_max`` satisfies it."""
+    hi = 2
+    while not holds(hi):
+        hi *= 2
+        if hi > n_max:
+            return None
+    lo = max(2, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _is_boundary(n: int, r: int, g: int) -> bool:
+    """Exact check that the counting inequality holds at n and fails at n-1."""
+    return counting_inequality_holds(n, r, g) and not (
+        n > 2 and counting_inequality_holds(n - 1, r, g)
+    )
+
+
 def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
     """Smallest n satisfying the counting inequality, by monotone search.
 
-    Exponential search finds a satisfying n, binary search plus a downward
-    walk isolates the boundary; the result is re-verified to hold at n and
-    fail at n-1.
+    The search runs in floats, and the exact two-precision check confirms
+    that the inequality holds at its result n and fails at n-1.  If the
+    floats found no n up to ``n_max``, overflowed, or the check fails or
+    raises, the search runs again on the exact check alone, with a downward
+    walk from the binary search's result, and its result is re-verified the
+    same way.
     """
     a = _subset_count(r)
     if g < 2:
         raise ValueError(f"girth target must be >= 2, got {g}")
 
-    hi = 2
-    while not counting_inequality_holds(hi, r, g):
-        hi *= 2
-        if hi > n_max:
+    c, slope, power = log(a - 1), log1p(1 / (a - 1)), 1 + 1 / g
+    try:  # floats overflow past 1e308, and the exact check can be undecided
+        n = _first_holding(lambda n: n * log(n) + c < n**power * slope, n_max)
+        confirmed = n is not None and _is_boundary(n, r, g)
+    except ArithmeticError:
+        confirmed = False
+    if not confirmed:
+        n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max)
+        if n is None:
             raise ArithmeticError(f"no satisfying n found below {n_max}")
-    lo = max(2, hi // 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if counting_inequality_holds(mid, r, g):
-            hi = mid
-        else:
-            lo = mid + 1
-    n = hi
-    while n > 2 and counting_inequality_holds(n - 1, r, g):
-        n -= 1
-    if not counting_inequality_holds(n, r, g) or (
-        n > 2 and counting_inequality_holds(n - 1, r, g)
-    ):
-        raise ArithmeticError("threshold boundary verification failed")
+        while n > 2 and counting_inequality_holds(n - 1, r, g):
+            n -= 1
+        if not _is_boundary(n, r, g):
+            raise ArithmeticError("threshold boundary verification failed")
     lhs, rhs = _counting_sides(n, a, g)
     return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
 

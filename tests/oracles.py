@@ -9,11 +9,19 @@ that tests can require the same results from the current version.
 """
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
 
 from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
+from rmhyper.formats import to_json_dict
+from rmhyper.randgen import (
+    ThresholdResult,
+    _counting_sides,
+    _subset_count,
+    counting_inequality_holds,
+)
 
 
 def bell_number(n: int) -> int:
@@ -234,6 +242,66 @@ def closing_vertex_search(
         part_used[part_of[v]] |= b
         depth += 1
         descending = True
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the writers and the threshold search before their
+# rewrites
+# ---------------------------------------------------------------------------
+
+
+def dumps_reference(h: Hypergraph | PartiteHypergraph, meta=None) -> str:
+    """The canonical document through the pure-Python indenting encoder."""
+    return json.dumps(to_json_dict(h, meta), sort_keys=True, indent=2) + "\n"
+
+
+def to_dot_reference(h: Hypergraph | PartiteHypergraph) -> str:
+    """The DOT export as it was, naming a vertex once per incidence."""
+
+    def dot_id(prefix, value) -> str:
+        text = str(value).replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{prefix}:{text}"'
+
+    base = h.base if isinstance(h, PartiteHypergraph) else h
+    vs = base.vertices
+    lines = ["graph incidence {"]
+    for v in vs:
+        lines.append(f"  {dot_id('v', v)} [shape=circle];")
+    for pos in range(base.num_edges):
+        lines.append(f"  {dot_id('e', pos)} [shape=box];")
+    for pos, key in enumerate(base.edge_index_tuples()):
+        for i in key:
+            lines.append(f"  {dot_id('v', vs[i])} -- {dot_id('e', pos)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def counting_threshold_mpmath(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
+    """The threshold search run on the exact two-precision check alone."""
+    a = _subset_count(r)
+    if g < 2:
+        raise ValueError(f"girth target must be >= 2, got {g}")
+    hi = 2
+    while not counting_inequality_holds(hi, r, g):
+        hi *= 2
+        if hi > n_max:
+            raise ArithmeticError(f"no satisfying n found below {n_max}")
+    lo = max(2, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if counting_inequality_holds(mid, r, g):
+            hi = mid
+        else:
+            lo = mid + 1
+    n = hi
+    while n > 2 and counting_inequality_holds(n - 1, r, g):
+        n -= 1
+    if not counting_inequality_holds(n, r, g) or (
+        n > 2 and counting_inequality_holds(n - 1, r, g)
+    ):
+        raise ArithmeticError("threshold boundary verification failed")
+    lhs, rhs = _counting_sides(n, a, g)
+    return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -69,6 +70,23 @@ class TestJson:
             loads('{"vertices": [1, "1", 2], "edges": [[1, "1", 2]]}')
         mixed = loads('{"vertices": [1, "a", 2], "edges": [[1, "a", 2]]}')
         assert mixed.vertices == (1, "a", 2)
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            ([(0, 1), (1, 2), (2, 0)], "not a string or an integer"),
+            ([True, 2, 3], "not a string or an integer"),
+            ([1, "1", 2], "same text form"),
+        ],
+    )
+    @pytest.mark.parametrize("writer", [dumps, to_dot])
+    def test_writers_refuse_ids_the_loader_refuses(self, writer, ids, match):
+        # a written document must load, and one DOT node must be one vertex
+        h = Hypergraph(ids, [ids[:2], ids[1:]])
+        with pytest.raises(FormatError, match=match):
+            writer(h)
+        with pytest.raises(FormatError, match=match):
+            writer(PartiteHypergraph(h, [[ids[1]], [ids[0], ids[2]]]))
 
     def test_missing_keys(self):
         with pytest.raises(FormatError, match="vertices"):
@@ -423,6 +441,47 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: unrecognized arguments: ")
         assert not out.exists()
+
+
+# The 13 commands of the benchmark's ``pipeline`` chain, each with its exit
+# code and the SHA-256 of the file it writes.
+CLI_CHAIN = [
+    ("construct pr --r 3 --g 4 -o pr34.json", 0,
+     "20bcba2de7602ee279e17d735ef038aabdfcaa1678dda05c4bd8e84464ad29b3"),
+    ("construct factor --input pr34.json --parts 6 -o factor.json", 0,
+     "f5f1c1b46359f6c8f9de071545a8060a860536fdb99bb1ffa64d489d11890d7c"),
+    ("girth factor.json --cap 4 --witness -o girth_factor.json", 2,
+     "4c232f79ca5565aafecfe29ab6c84e4167f6602391da707553f734a8f1599b1e"),
+    ("girth pr34.json --cap 8 --witness -o girth_pr34.json", 0,
+     "63fca954cbdc3e5091cc5f061ab51287c32fdd60fa30957306685455058fc5e4"),
+    ("convert factor.json --json -o factor_copy.json", 0,
+     "f5f1c1b46359f6c8f9de071545a8060a860536fdb99bb1ffa64d489d11890d7c"),
+    ("convert factor.json --dot -o factor.dot", 0,
+     "feb7e05fa42bd46c1072c50ac5100963edddb40efa67d01372b12e7a3693f651"),
+    ("construct pr --r 3 --g 3 -o pr33.json", 0,
+     "4b71f95c5571f03a61137c64b3efac6e39f0ad5fd3317b4ba93deebca146ea84"),
+    ("solve part-rainbow pr33.json -o solve_pr33.json", 1,
+     "99db7311e172d6c6c2ab8be180e08613a4156c985e1c41f3c1cb2d16a3eb3a39"),
+    ("construct h --r 3 --g 2 -o h32.json", 0,
+     "6afa2fa9339b01e9297204b8bb7645b27a52118d80eb9cb1fdb840d93f824b01"),
+    ("solve good h32.json -o solve_h32.json", 1,
+     "ddeb1588fef4c11d7dc60489338b37dcf9a606b2ab0a8fce99b43e4993790bc1"),
+    ("random carrier --n 12 --R 5 --g 3 --seed 7 -o carrier.json", 0,
+     "167512b4e063cf49388fb335d02ededecfad90def9a0e56642de94b10b497bc7"),
+    ("random search --n 8 --r 3 --g 2 --seed 7 -o found.json", 1,
+     "9cebe9e4171713ee8541b279674022564a68be6dc833390949d669581b20381d"),
+    ("bound --r 3 --g 3 -o bound.json", 0,
+     "369a3ea0e45c4e54f7fb0057f230908fc0f372c06d843fac04c45a8dbf820fa3"),
+]
+
+
+def test_cli_chain_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    for command, code, digest in CLI_CHAIN:
+        argv = shlex.split(command)
+        assert run(argv) == code, capsys.readouterr().err
+        assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest, command
 
 
 def test_readme_cli_examples_parse():

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -6,6 +7,8 @@ from math import comb
 
 import pytest
 
+from oracles import counting_threshold_mpmath
+from rmhyper import randgen
 from rmhyper.coloring import VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.formats import dumps
@@ -197,6 +200,43 @@ class TestCountingThreshold:
     def test_r_two_rejected(self):
         with pytest.raises(ValueError, match="r >= 3"):
             counting_threshold(2, 3)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_matches_the_exact_search(self, r):
+        for g in range(2, 9):
+            self.check_matches_the_exact_search(r, g, 10**12)
+
+    @pytest.mark.parametrize(
+        "r, g, n_max",
+        [
+            (4, 8, 10**40),  # the exact check is undecided at the float result
+            (3, 100, 10**400),  # the float search overflows
+        ],
+    )
+    def test_matches_the_exact_search_beyond_floats(self, r, g, n_max):
+        self.check_matches_the_exact_search(r, g, n_max)
+
+    @staticmethod
+    def check_matches_the_exact_search(r, g, n_max):
+        try:
+            expected = counting_threshold_mpmath(r, g, n_max=n_max)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=str(exc)):
+                counting_threshold(r, g, n_max=n_max)
+        else:
+            assert counting_threshold(r, g, n_max=n_max) == expected
+
+    def test_a_wrong_float_search_falls_back_to_the_exact_one(self, monkeypatch):
+        # skew the float evaluation so that its boundary is off for (3, 3)
+        monkeypatch.setattr(randgen, "log1p", lambda x: math.log1p(x) * 1.01)
+        assert counting_threshold(3, 3) == counting_threshold_mpmath(3, 3)
+
+    @pytest.mark.parametrize("r, g", [(2, 3), (3, 1)])
+    def test_invalid_inputs_raise_as_the_exact_search(self, r, g):
+        with pytest.raises(ValueError) as expected:
+            counting_threshold_mpmath(r, g)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            counting_threshold(r, g)
 
     def test_holds_on_spot_scan(self):
         res = counting_threshold(3, 2)
