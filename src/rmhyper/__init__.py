@@ -51,9 +51,7 @@ from .girth import (
 # builders can be imported without it.
 _RANDGEN = (
     "CarrierSample",
-    "ProbParams",
     "SearchOutcome",
-    "SubedgeSequence",
     "ThresholdResult",
     "counting_inequality_holds",
     "counting_threshold",
@@ -84,11 +82,9 @@ __all__ = [
     "Hypergraph",
     "HypergraphError",
     "PartiteHypergraph",
-    "ProbParams",
     "SearchOutcome",
     "SizeEstimate",
     "SizeLimitError",
-    "SubedgeSequence",
     "SupplierError",
     "ThresholdResult",
     "Verdict",

@@ -50,7 +50,6 @@ from .girth import girth
 from .randgen import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_TRIES,
-    ProbParams,
     counting_threshold,
     random_high_girth,
     random_search_unavoidable,
@@ -77,6 +76,10 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # subcommands share the class, so none reads "--r" as "--require-target"
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # argparse would exit(2), which means budget
         raise CliError(message)
 
@@ -207,10 +210,9 @@ def _cmd_carrier(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    params = ProbParams(
-        n=args.n, r=args.r, g=args.g, seed=args.seed, tries=args.tries, budget=args.budget
+    outcome = random_search_unavoidable(
+        args.n, args.r, args.g, args.seed, tries=args.tries, budget=args.budget
     )
-    outcome = random_search_unavoidable(params)
     meta = {
         "command": "random search",
         "n": args.n,
@@ -221,13 +223,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "budget": args.budget,
         "found": outcome.found,
         "try_index": outcome.try_index,
-        "solver_nodes": outcome.verdict.nodes if outcome.verdict else None,
+        "solver_nodes": outcome.verdict.nodes,
     }
-    assert outcome.hypergraph is not None
     _emit(outcome.hypergraph, meta, args.output)
     if outcome.found:
         return EXIT_HOLDS  # the instance's unavoidability property holds
-    if outcome.verdict and outcome.verdict.status is VerdictStatus.BUDGET_EXCEEDED:
+    if outcome.verdict.status is VerdictStatus.BUDGET_EXCEEDED:
         return EXIT_BUDGET
     return EXIT_WITNESS
 

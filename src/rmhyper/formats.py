@@ -24,7 +24,7 @@ bipartite incidence graph (vertex nodes vs edge nodes) and is one-way.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
 from .core import Hypergraph, HypergraphError, PartiteHypergraph, VertexId
 
@@ -120,12 +120,6 @@ def dumps(h: Hypergraph | PartiteHypergraph, meta: dict[str, Any] | None = None)
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
-def dump(
-    h: Hypergraph | PartiteHypergraph, fp: TextIO, meta: dict[str, Any] | None = None
-) -> None:
-    fp.write(dumps(h, meta))
-
-
 def _decode(text: str) -> Any:
     try:
         return json.loads(text)
@@ -148,13 +142,9 @@ def loads(text: str) -> Hypergraph | PartiteHypergraph:
     return from_json_dict(_decode(text))
 
 
-def load(fp: TextIO) -> Hypergraph | PartiteHypergraph:
-    return loads(fp.read())
-
-
 def load_path(path: str) -> Hypergraph | PartiteHypergraph:
     with open(path, "r", encoding="utf-8") as fp:
-        return load(fp)
+        return loads(fp.read())
 
 
 def load_meta(text: str) -> dict[str, Any]:

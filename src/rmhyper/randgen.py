@@ -1,12 +1,16 @@
 """Probabilistic generation: high-girth carriers, sub-edge sampling, and the
 counting bound behind the randomized existence argument.
 
-The carrier model samples a fixed number of distinct R-subsets uniformly and
-deletes one edge from each short cycle until the girth target holds.  From an
-R-uniform carrier, one r-subset is drawn per edge; the resulting r-uniform
-hypergraph inherits the carrier's girth.  The counting bound is evaluated as
-exact high-precision arithmetic instead of re-proving the existence result,
-whose n is far beyond desk scale.
+The randomized proof has three steps, and each is a plain function over data
+the caller already holds.  :func:`random_high_girth` samples a fixed number
+of distinct R-subsets uniformly and deletes one edge from each short cycle
+until the girth target holds.  :func:`sample_subedges` draws one r-subset
+from each carrier edge's position tuple; the r-uniform hypergraph they span
+inherits the carrier's girth.  :func:`random_search_unavoidable` repeats
+both with R = (r-1)^2+1 and hands each result to the coloring solver until
+one is certified.  The counting bound is evaluated as exact high-precision
+arithmetic instead of re-proving the existence result, whose n is far beyond
+desk scale.
 """
 from __future__ import annotations
 
@@ -32,7 +36,15 @@ def derive_seed(master: int, label: object) -> int:
 
 
 def ceil_power(n: int, num: int, den: int) -> int:
-    """Exact ceil(n**(num/den)) for positive integers, by integer root."""
+    """Exact ceil(n**(num/den)) for positive integers, by integer root.
+
+    For num = den + 1 and den >= (n + 1) * bit_length(n) the answer is n + 1
+    without the root: ln n < bit_length(n) <= den / (n + 1) <= den ln(1 + 1/n),
+    so n < n**(num/den) < n + 1.  This keeps huge girth targets from raising
+    n to a power with as many digits as den.
+    """
+    if num == den + 1 and n >= 2 and den >= (n + 1) * n.bit_length():
+        return n + 1
     target = n**num
     lo, hi = 1, max(2, n ** -(-num // den))
     while lo < hi:
@@ -127,41 +139,27 @@ def random_high_girth(
     return best
 
 
-@dataclass(frozen=True)
-class SubedgeSequence:
-    """One chosen r-subset per carrier edge, in canonical carrier edge order."""
-
-    choices: tuple[frozenset, ...]
-    subset_size: int
-
-    def __len__(self) -> int:
-        return len(self.choices)
-
-
 def sample_subedges(
     h: Hypergraph, r: int, seed: int
-) -> tuple[SubedgeSequence, Hypergraph]:
+) -> tuple[tuple[frozenset, ...], Hypergraph]:
     """Choose a uniform random r-subset of every edge of an R-uniform carrier.
 
-    Returns the sequence of choices plus the r-uniform hypergraph they span
-    (on the carrier's full vertex set).  Distinct carrier edges can yield the
-    same subset; the sequence records every choice while the hypergraph
-    deduplicates, so it may have fewer edges than the carrier.  Its girth is
-    at least the carrier's girth.
+    Returns the choices, one per carrier edge in canonical carrier edge order,
+    plus the r-uniform hypergraph they span (on the carrier's full vertex
+    set).  Distinct carrier edges can yield the same subset; the choices
+    record every draw while the hypergraph deduplicates, so it may have fewer
+    edges than the carrier.  Its girth is at least the carrier's girth.
     """
     validate_uniformity(r)
     big = h.uniformity()
     if h.num_edges and (big is None or big < r):
         raise HypergraphError(f"carrier must be uniform with edges of size >= {r}")
     rng = random.Random(derive_seed(seed, "subedges"))
-    index_order = {v: i for i, v in enumerate(h.vertices)}
-    choices = []
-    for edge in h.edges:
-        members = sorted(edge, key=index_order.__getitem__)
-        choices.append(frozenset(rng.sample(members, r)))
-    dedup = {tuple(sorted(c, key=index_order.__getitem__)) for c in choices}
-    sub = Hypergraph(h.vertices, sorted(dedup))
-    return SubedgeSequence(tuple(choices), r), sub
+    vs = h.vertices
+    choices = tuple(
+        frozenset([vs[i] for i in rng.sample(key, r)]) for key in h.edge_index_tuples()
+    )
+    return choices, Hypergraph(vs, set(choices))
 
 
 @dataclass(frozen=True)
@@ -172,9 +170,6 @@ class ThresholdResult:
     lhs: float  # n ln n + ln(a-1)
     rhs: float  # n^(1+1/g) ln(a/(a-1))
     a: int
-
-    def holds(self) -> bool:
-        return self.lhs < self.rhs
 
 
 def _counting_sides(n: int, a: int, g: int, dps: int = 50):
@@ -269,73 +264,55 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
 
 
 @dataclass(frozen=True)
-class ProbParams:
-    """Parameters of the randomized search for small unavoidable instances."""
-
-    n: int
-    r: int
-    g: int
-    seed: int = 0
-    tries: int = DEFAULT_TRIES
-    budget: int = DEFAULT_SEARCH_BUDGET
-
-    def __post_init__(self) -> None:
-        _subset_count(self.r)  # rejects r < 3
-        if self.g < 2:
-            raise ValueError(f"girth target must be >= 2, got {self.g}")
-        if self.n < self.carrier_uniformity:
-            raise ValueError(
-                f"need n >= {self.carrier_uniformity} vertices, got {self.n}"
-            )
-        if self.tries < 1 or self.budget < 1:
-            raise ValueError("tries and budget must be positive")
-
-    @property
-    def carrier_uniformity(self) -> int:
-        return (self.r - 1) ** 2 + 1
-
-    @property
-    def subset_count(self) -> int:
-        return _subset_count(self.r)
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """Result of the randomized search: first certified instance, or the
     hardest (most search nodes) attempt seen."""
 
     found: bool
-    hypergraph: Hypergraph | None
-    verdict: Verdict | None
-    subedges: SubedgeSequence | None
-    try_index: int | None
+    hypergraph: Hypergraph
+    verdict: Verdict
+    try_index: int
     tries_used: int
 
 
-def random_search_unavoidable(params: ProbParams) -> SearchOutcome:
+def random_search_unavoidable(
+    n: int,
+    r: int,
+    g: int,
+    seed: int = 0,
+    *,
+    tries: int = DEFAULT_TRIES,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> SearchOutcome:
     """Sample sub-edge hypergraphs over random high-girth carriers until the
     coloring solver certifies one as unavoidable.
 
-    Every certified instance is re-verified: girth at least g and an
-    exhausted good-coloring search.
+    Each try draws an (r-1)^2+1-uniform carrier of girth >= g on n vertices
+    and one r-subset of each of its edges.  Every certified instance is
+    re-verified: girth at least g and an exhausted good-coloring search.
     """
+    _subset_count(r)  # rejects r < 3
+    if g < 2:
+        raise ValueError(f"girth target must be >= 2, got {g}")
+    carrier_uniformity = (r - 1) ** 2 + 1
+    if n < carrier_uniformity:
+        raise ValueError(f"need n >= {carrier_uniformity} vertices, got {n}")
+    if tries < 1 or budget < 1:
+        raise ValueError("tries and budget must be positive")
+
     best: tuple[int, SearchOutcome] | None = None
-    for t in range(params.tries):
-        seed_t = derive_seed(params.seed, f"try:{t}")
-        carrier = random_high_girth(
-            params.n, params.carrier_uniformity, params.g, seed_t
-        )
-        subedges, candidate = sample_subedges(carrier.hypergraph, params.r, seed_t)
-        verdict = find_good_coloring(candidate, budget=params.budget)
+    for t in range(tries):
+        seed_t = derive_seed(seed, f"try:{t}")
+        carrier = random_high_girth(n, carrier_uniformity, g, seed_t)
+        _, candidate = sample_subedges(carrier.hypergraph, r, seed_t)
+        verdict = find_good_coloring(candidate, budget=budget)
         found = verdict.status is VerdictStatus.PROPERTY_HOLDS
-        outcome = SearchOutcome(found, candidate, verdict, subedges, t, t + 1)
+        outcome = SearchOutcome(found, candidate, verdict, t, t + 1)
         if found:
-            if not girth(candidate, cap=max(2, params.g - 1)).girth.guarantees_at_least(
-                params.g
-            ):
+            if not girth(candidate, cap=max(2, g - 1)).girth.guarantees_at_least(g):
                 raise AssertionError("certified instance fails its girth recheck")
             return outcome
         if best is None or verdict.nodes > best[0]:
             best = (verdict.nodes, outcome)
     assert best is not None
-    return replace(best[1], tries_used=params.tries)
+    return replace(best[1], tries_used=tries)

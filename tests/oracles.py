@@ -21,6 +21,7 @@ from rmhyper.randgen import (
     _counting_sides,
     _subset_count,
     counting_inequality_holds,
+    derive_seed,
 )
 
 
@@ -245,8 +246,8 @@ def closing_vertex_search(
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the writers and the threshold search before their
-# rewrites
+# Reference kernels: the writers, the threshold search and the sub-edge draw
+# before their rewrites
 # ---------------------------------------------------------------------------
 
 
@@ -302,6 +303,20 @@ def counting_threshold_mpmath(r: int, g: int, *, n_max: int = 10**12) -> Thresho
         raise ArithmeticError("threshold boundary verification failed")
     lhs, rhs = _counting_sides(n, a, g)
     return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
+
+
+def sample_subedges_reference(h: Hypergraph, r: int, seed: int) -> tuple[tuple, Hypergraph]:
+    """The sub-edge draw over vertex ids: each edge's members sorted by a
+    vertex-index map of its own, and the spanned hypergraph built from the
+    deduplicated choices."""
+    rng = random.Random(derive_seed(seed, "subedges"))
+    index_order = {v: i for i, v in enumerate(h.vertices)}
+    choices = []
+    for edge in h.edges:
+        members = sorted(edge, key=index_order.__getitem__)
+        choices.append(frozenset(rng.sample(members, r)))
+    dedup = {tuple(sorted(c, key=index_order.__getitem__)) for c in choices}
+    return tuple(choices), Hypergraph(h.vertices, sorted(dedup))
 
 
 # ---------------------------------------------------------------------------

@@ -571,3 +571,13 @@ def test_deterministic_builders_do_not_load_the_random_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # __all__ and the lazily loaded _RANDGEN are kept by hand, apart from the modules
+    import rmhyper
+
+    namespace: dict = {}
+    exec("from rmhyper import *", namespace)
+    assert all(name in namespace for name in rmhyper.__all__)
+    assert set(rmhyper._RANDGEN) <= set(rmhyper.__all__)

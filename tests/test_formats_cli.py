@@ -258,6 +258,18 @@ class TestCli:
         assert not out.exists()
         assert elapsed < 5.0
 
+    def test_random_carrier_with_a_huge_girth_target(self, tmp_path, capsys):
+        # n^(g+1) alone would have about a billion digits; the target is n + 1
+        out = tmp_path / "x.json"
+        argv = ["random", "carrier", "--n", "12", "--R", "5", "--g", "1000000000", "-o", str(out)]
+        t0 = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - t0
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads(out.read_text())["meta"]["edge_target"] == 13
+        assert elapsed < 2.0
+
     def test_random_search_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         code = run(
@@ -430,6 +442,9 @@ class TestCli:
             ["random", "carrier", "--n", "12", "--R", "5", "--g", "3", "--tries", "4"],
             ["random", "search", "--n", "8", "--r", "3", "--g", "2", "--R", "5"],
             ["random", "search", "--n", "8", "--r", "3", "--g", "2", "--require-target"],
+            # no prefix stands for an option, here --require-target and --max-vertices
+            ["random", "carrier", "--n", "12", "--R", "5", "--g", "3", "--r"],
+            ["construct", "pr", "--r", "3", "--g", "3", "--max-v", "100"],
         ],
     )
     def test_options_of_another_kind_are_refused(self, tmp_path, capsys, argv):
@@ -482,6 +497,18 @@ def test_cli_chain_is_byte_identical(tmp_path, monkeypatch, capsys):
         argv = shlex.split(command)
         assert run(argv) == code, capsys.readouterr().err
         assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest, command
+
+
+def test_random_search_without_a_find_writes_the_hardest_attempt(tmp_path, capsys):
+    # none of the 4 tries is certified: the artifact is the attempt that took
+    # the most solver nodes, and the exit code says a good colouring exists
+    out = tmp_path / "hardest.json"
+    argv = ["random", "search", "--n", "5", "--r", "3", "--g", "2", "--tries", "4", "--seed", "7"]
+    assert run(argv + ["-o", str(out)]) == 0, capsys.readouterr().err
+    meta = json.loads(out.read_text())["meta"]
+    assert (meta["found"], meta["tries"]) == (False, 4)
+    digest = "754fa11816e1dd359b75c29ee4675984a9c5961c5988e72b5ff6c61f0bc91a95"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_readme_cli_examples_parse():

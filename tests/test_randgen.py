@@ -7,14 +7,13 @@ from math import comb
 
 import pytest
 
-from oracles import counting_threshold_mpmath
+from oracles import counting_threshold_mpmath, sample_subedges_reference
 from rmhyper import randgen
 from rmhyper.coloring import VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.formats import dumps
 from rmhyper.girth import girth
 from rmhyper.randgen import (
-    ProbParams,
     ceil_power,
     counting_inequality_holds,
     counting_threshold,
@@ -46,6 +45,16 @@ class TestCeilPower:
                 exact = ceil_power(n, num, den)
                 approx = n ** (num / den)
                 assert exact - 1 < approx < exact + 1
+
+    def test_huge_girth_targets_match_the_definition(self):
+        # ceil(n^(1+1/g)) = c exactly when (c-1)^g < n^(g+1) <= c^g; from
+        # g = (n + 1) * bit_length(n) on, c is n + 1 without a root search
+        for n in range(2, 61):
+            cutoff = (n + 1) * n.bit_length()
+            for g in range(2, cutoff + 21):
+                c = ceil_power(n, g + 1, g)
+                assert (c - 1) ** g < n ** (g + 1) <= c**g, (n, g)
+            assert ceil_power(n, 10**9 + 1, 10**9) == n + 1
 
 
 class TestRandomHighGirth:
@@ -136,15 +145,15 @@ class TestBadCycleStatistics:
 class TestSampleSubedges:
     def test_identity_when_sizes_match(self):
         h = complete_hypergraph(6, 3)
-        seq, sub = sample_subedges(h, 3, seed=0)
+        choices, sub = sample_subedges(h, 3, seed=0)
         assert sub == h
-        assert len(seq) == h.num_edges
+        assert choices == h.edges
 
     def test_subsets_come_from_their_edges(self):
         carrier = random_high_girth(12, 5, 3, seed=2).hypergraph
-        seq, sub = sample_subedges(carrier, 3, seed=5)
-        assert len(seq) == carrier.num_edges
-        for choice, edge in zip(seq.choices, carrier.edges):
+        choices, sub = sample_subedges(carrier, 3, seed=5)
+        assert len(choices) == carrier.num_edges
+        for choice, edge in zip(choices, carrier.edges):
             assert choice <= edge and len(choice) == 3
         assert sub.is_uniform(3)
         assert set(sub.vertices) == set(carrier.vertices)
@@ -154,8 +163,8 @@ class TestSampleSubedges:
         counts: dict[frozenset, int] = {}
         draws = 10_000
         for i in range(draws):
-            seq, _ = sample_subedges(carrier, 3, seed=i)
-            counts[seq.choices[0]] = counts.get(seq.choices[0], 0) + 1
+            (choice,), _ = sample_subedges(carrier, 3, seed=i)
+            counts[choice] = counts.get(choice, 0) + 1
         assert len(counts) == comb(5, 3) == 10
         expected = draws / 10
         chi2 = sum((got - expected) ** 2 / expected for got in counts.values())
@@ -177,6 +186,25 @@ class TestSampleSubedges:
             carrier = Hypergraph(range(n), edges)
             _, sub = sample_subedges(carrier, rng.randint(2, size), seed=trial)
             assert lower(sub) >= lower(carrier)
+
+    @pytest.mark.parametrize("ids", ["int", "shuffled str"])
+    def test_matches_the_id_based_draw(self, ids):
+        rng = random.Random(15)
+        for trial in range(200):
+            n = rng.randint(5, 12)
+            size = rng.randint(3, 5)
+            pool = list(combinations(range(n), size))
+            edges = rng.sample(pool, rng.randint(1, min(20, len(pool))))
+            names = list(range(n)) if ids == "int" else [f"v{i}" for i in range(n)]
+            if ids != "int":  # canonical order is then not the ids' sorted order
+                rng.shuffle(names)
+            carrier = Hypergraph(names, [[names[i] for i in e] for e in edges])
+            r = rng.randint(2, size)
+            choices, sub = sample_subedges(carrier, r, seed=trial)
+            expected_choices, expected = sample_subedges_reference(carrier, r, seed=trial)
+            assert choices == expected_choices
+            assert sub.vertices == expected.vertices
+            assert sub.edge_index_tuples() == expected.edge_index_tuples()
 
     def test_validation(self):
         h = Hypergraph(range(4), [[0, 1, 2], [0, 1, 2, 3]])
@@ -247,11 +275,10 @@ class TestCountingThreshold:
 class TestRandomSearch:
     def test_r_two_rejected_at_params(self):
         with pytest.raises(ValueError, match="r >= 3"):
-            ProbParams(n=8, r=2, g=2)
+            random_search_unavoidable(8, 2, 2)
 
     def test_finds_certified_instance(self):
-        params = ProbParams(n=8, r=3, g=2, seed=0, tries=30, budget=500_000)
-        out = random_search_unavoidable(params)
+        out = random_search_unavoidable(8, 3, 2, seed=0, tries=30, budget=500_000)
         assert out.found
         h = out.hypergraph
         assert h.is_uniform(3)
@@ -261,17 +288,21 @@ class TestRandomSearch:
 
     def test_unfound_returns_hardest_attempt(self):
         # tiny n gives sparse instances that always admit good colorings
-        params = ProbParams(n=5, r=3, g=2, seed=0, tries=4, budget=100_000)
-        out = random_search_unavoidable(params)
+        out = random_search_unavoidable(5, 3, 2, seed=0, tries=4, budget=100_000)
         assert not out.found
-        assert out.verdict is not None
         assert out.verdict.status is VerdictStatus.WITNESS_FOUND
         assert out.tries_used == 4
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ProbParams(n=4, r=3, g=2)  # below carrier uniformity
-        with pytest.raises(ValueError):
-            ProbParams(n=8, r=3, g=1)
-        assert ProbParams(n=8, r=3, g=2).carrier_uniformity == 5
-        assert ProbParams(n=8, r=3, g=2).subset_count == 10
+        # each check fires before the later ones
+        cases = [
+            ((4, 2, 1), {"tries": 0}, "r >= 3"),
+            ((4, 3, 1), {"tries": 0}, "girth target must be >= 2, got 1"),
+            ((4, 3, 2), {"tries": 0}, "need n >= 5 vertices, got 4"),  # (r-1)^2+1 = 5
+            ((8, 3, 2), {"tries": 0}, "tries and budget must be positive"),
+            ((8, 3, 2), {"budget": 0}, "tries and budget must be positive"),
+        ]
+        for args, kwargs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                random_search_unavoidable(*args, **kwargs)
+        assert counting_threshold(3, 2).a == comb(5, 3) == 10  # r-subsets of a carrier edge
