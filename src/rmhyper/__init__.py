@@ -45,6 +45,7 @@ from .girth import (
     count_cycles,
     cycle_count_bound_check,
     girth,
+    girth_at_least,
 )
 
 # The probabilistic module loads on first use, so that the deterministic
@@ -106,6 +107,7 @@ __all__ = [
     "find_good_coloring",
     "find_part_rainbow_bad",
     "girth",
+    "girth_at_least",
     "random_high_girth",
     "random_search_unavoidable",
     "sample_subedges",

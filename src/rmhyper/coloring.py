@@ -80,10 +80,6 @@ class Coloring:
             raise ColoringError(f"assignment colors unknown vertices {extra!r}")
         return cls(canonical)
 
-    @property
-    def num_classes(self) -> int:
-        return len(set(self.assignment.values()))
-
     def class_sizes(self) -> tuple[int, ...]:
         sizes: dict[int, int] = {}
         for c in self.assignment.values():

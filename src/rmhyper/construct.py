@@ -17,7 +17,8 @@ hypergraphs for the builders.  Builders are estimate-first: both refuse
 before they materialise anything when the estimate exceeds the hard limits,
 and check each step's predicted size against the limits before taking it.
 Blocks and builders re-verify their structural postconditions so corrupted
-inputs fail fast.
+inputs fail fast; the supplier and both builders check girth with
+:func:`~rmhyper.girth.girth_at_least`, on outputs of every size.
 
 All construction operations relabel their output onto integer vertex ids
 0..n-1 with a deterministic layout and return the relabelling maps.
@@ -39,10 +40,9 @@ from .core import (
     complete_hypergraph,
     validate_uniformity,
 )
-from .girth import girth
+from .girth import girth_at_least
 
 SIZE_CAP = 10**15  # beyond this, predicted counts are reported as astronomical
-VERIFY_VERTEX_LIMIT = 20_000  # builds past this size skip the girth re-check
 
 
 @dataclass(frozen=True)
@@ -429,9 +429,10 @@ def supply_min_degree_girth(
     graphs with g = 4, the incidence graph of the plane PG(2, q-1) for g <= 6
     and of the quadrangle W(q-1) for g <= 8 when q - 1 is prime, and the
     cycle C_g for graphs with q <= 2.  The output is deterministic, sized
-    exactly by the estimators, and re-verified before return.  Inputs outside
-    the table, and suppliers beyond the vertex or edge limit, raise
-    :class:`SupplierError` before anything is built.
+    exactly by the estimators, and re-verified before return: uniformity,
+    minimum degree, and girth by :func:`~rmhyper.girth.girth_at_least`.
+    Inputs outside the table, and suppliers beyond the vertex or edge limit,
+    raise :class:`SupplierError` before anything is built.
     """
     validate_uniformity(ell)
     if g < 2:
@@ -451,7 +452,7 @@ def supply_min_degree_girth(
     h = build()
     if not h.is_uniform(ell) or min(h.degree(v) for v in h.vertices) < q:
         raise AssertionError("supplier output lost uniformity or minimum degree")
-    if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
+    if not girth_at_least(h, g):
         raise AssertionError("supplier output lost the girth guarantee")
     return h
 
@@ -574,10 +575,8 @@ def _estimate(r: int, g: int, recursion: Callable[[_Sizes], Any]) -> SizeEstimat
 def _verify(h: Hypergraph, r: int, g: int) -> None:
     if not h.is_uniform(r):
         raise AssertionError("recursion produced a non-uniform hypergraph")
-    # every hypergraph has girth >= 2
-    if g > 2 and h.num_vertices <= VERIFY_VERTEX_LIMIT:
-        if not girth(h, cap=g).girth.guarantees_at_least(g):
-            raise AssertionError(f"construction failed its girth >= {g} postcondition")
+    if not girth_at_least(h, g):
+        raise AssertionError(f"construction failed its girth >= {g} postcondition")
 
 
 def estimate_pr_size(r: int, g: int) -> SizeEstimate:

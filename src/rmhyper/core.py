@@ -157,12 +157,6 @@ class Hypergraph:
             self._degrees = tuple(degrees)
         return self._degrees[i]
 
-    def edges_containing(self, v: VertexId) -> tuple[int, ...]:
-        """Canonical positions of the edges containing ``v``, by a scan of
-        every edge."""
-        i = self.index_of(v)
-        return tuple(pos for pos, key in enumerate(self._edge_indices) if i in key)
-
     def is_uniform(self, r: int) -> bool:
         """True iff every edge has exactly ``r`` vertices (vacuously true)."""
         validate_uniformity(r)
@@ -231,34 +225,33 @@ class PartiteHypergraph:
     Part members are stored in canonical (base) vertex order.
     """
 
-    __slots__ = ("_base", "_parts", "_part_of")
+    __slots__ = ("_base", "_parts")
 
     def __init__(self, base: Hypergraph, parts: Sequence[Iterable[VertexId]]):
         vs, vindex = base.vertices, base._vindex
-        part_of: dict[VertexId, int] = {}
+        part_at: list[int] = [-1] * len(vs)  # the part of each vertex position
         norm: list[tuple[VertexId, ...]] = []
         for i, raw in enumerate(parts):
             positions = []
             for v in set(raw):
                 if v not in vindex:
                     raise HypergraphError(f"unknown vertex {v!r}")
-                if v in part_of:
-                    raise HypergraphError(f"vertex {v!r} appears in parts {part_of[v]} and {i}")
-                part_of[v] = i
-                positions.append(vindex[v])
+                p = vindex[v]
+                if part_at[p] >= 0:
+                    raise HypergraphError(f"vertex {v!r} appears in parts {part_at[p]} and {i}")
+                part_at[p] = i
+                positions.append(p)
             positions.sort()
             norm.append(tuple([vs[p] for p in positions]))
-        if len(part_of) != len(vs):
-            missing = [v for v in vs if v not in part_of]
+        if -1 in part_at:
+            missing = [v for v, part in zip(vs, part_at) if part < 0]
             raise HypergraphError(f"parts do not cover vertices {missing!r}")
-        part_at = [part_of[v] for v in vs]
         for pos, key in enumerate(base.edge_index_tuples()):
             if len({part_at[i] for i in key}) != len(key):
                 hits = sorted(part_at[i] for i in key)
                 raise HypergraphError(f"edge #{pos} meets one part more than once (parts {hits})")
         self._base = base
         self._parts = tuple(norm)
-        self._part_of = part_of
 
     @property
     def base(self) -> Hypergraph:
@@ -277,12 +270,6 @@ class PartiteHypergraph:
 
     def part_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self._parts)
-
-    def part_of(self, v: VertexId) -> int:
-        try:
-            return self._part_of[v]
-        except KeyError:
-            raise HypergraphError(f"unknown vertex {v!r}") from None
 
     # convenience delegates
     @property

@@ -11,6 +11,10 @@ A union-find run while the incidence graph is built tells a forest (infinite
 girth) apart.  Otherwise each vertex root costs one BFS, which stops at the
 first layer that cannot close a walk shorter than the best one found so far;
 the witness is read off the BFS tree of the root that found the shortest.
+
+:func:`girth_at_least` is the one check of a "girth at least g"
+postcondition, used by the supplier, the builders and the random generators:
+g <= 2 holds without a scan, and any other g costs one scan with cap g - 1.
 """
 from __future__ import annotations
 
@@ -38,10 +42,6 @@ class CycleWitness:
 
     edges: tuple[frozenset[VertexId], ...]
     vertices: tuple[VertexId, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
 
     def validate(self, h: Hypergraph) -> None:
         """Re-check every invariant against ``h``; raises on violation."""
@@ -255,6 +255,13 @@ def girth(h: Hypergraph, cap: int) -> GirthResult:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
     return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+
+
+def girth_at_least(h: Hypergraph, g: int) -> bool:
+    """True iff ``h`` has girth at least ``g``: the postcondition of every
+    builder and generator.  Every hypergraph has girth >= 2, so g <= 2 needs
+    no scan; otherwise one :func:`girth` scan with cap g - 1 decides it."""
+    return g <= 2 or girth(h, cap=g - 1).girth.guarantees_at_least(g)
 
 
 def _connector_sets(

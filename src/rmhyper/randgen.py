@@ -22,7 +22,7 @@ from math import comb, log, log1p
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import BuildLimits, SizeEstimate, SizeLimitError
 from .core import Hypergraph, HypergraphError, comb_at_most, validate_uniformity
-from .girth import girth
+from .girth import girth, girth_at_least
 
 DEFAULT_SAMPLES = 8
 DEFAULT_TRIES = 64
@@ -111,7 +111,7 @@ def random_high_girth(
         chosen: set[frozenset[int]] = set()
         while len(chosen) < m:
             chosen.add(frozenset(rng.sample(population, uniformity)))
-        h = Hypergraph(population, sorted(tuple(sorted(e)) for e in chosen))
+        h = Hypergraph(population, chosen)
         deleted = 0
         if g > 2:
             while True:
@@ -121,7 +121,7 @@ def random_high_girth(
                 assert res.witness is not None
                 h = h.without_edges([res.witness.edges[0]])
                 deleted += 1
-        if not girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g):
+        if not girth_at_least(h, g):
             raise AssertionError("deletion loop failed to reach the girth target")
         sample = CarrierSample(
             hypergraph=h,
@@ -309,7 +309,7 @@ def random_search_unavoidable(
         found = verdict.status is VerdictStatus.PROPERTY_HOLDS
         outcome = SearchOutcome(found, candidate, verdict, t, t + 1)
         if found:
-            if not girth(candidate, cap=max(2, g - 1)).girth.guarantees_at_least(g):
+            if not girth_at_least(candidate, g):
                 raise AssertionError("certified instance fails its girth recheck")
             return outcome
         if best is None or verdict.nodes > best[0]:

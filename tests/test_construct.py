@@ -563,6 +563,20 @@ def test_supplier_of_an_astronomical_size_is_refused(monkeypatch):
         supply_min_degree_girth(60, 2, 10**40)
 
 
+def test_supplier_postcondition_fires(monkeypatch):
+    # K_{6,6} in place of the plane PG(2, 5): 6-regular, but of girth 4 < 6
+    k66 = construct._polygon_incidence_graph(2, 5)
+    monkeypatch.setattr(construct, "_polygon_incidence_graph", lambda n, p: k66)
+    with pytest.raises(AssertionError, match="supplier output lost the girth guarantee"):
+        supply_min_degree_girth(2, 6, 6)
+
+
+def test_builds_of_every_size_are_verified():
+    h = Hypergraph(range(20_001), [(0, 1), (1, 2), (0, 2)])  # a triangle: girth 3 < 4
+    with pytest.raises(AssertionError, match="construction failed its girth >= 4 postcondition"):
+        construct._verify(h, 2, 4)
+
+
 def test_deterministic_builders_do_not_load_the_random_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, rmhyper.construct; print('rmhyper.randgen' in sys.modules)"

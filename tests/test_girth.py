@@ -1,17 +1,19 @@
 import hashlib
+import importlib
 import random
 
 import pytest
 
-from rmhyper.construct import build_part_rainbow_forced
+from rmhyper.construct import build_part_rainbow_forced, supply_min_degree_girth
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.girth import (
     EnumerationBudgetError,
     count_cycles,
     cycle_count_bound_check,
     girth,
+    girth_at_least,
 )
-from rmhyper.randgen import random_high_girth
+from rmhyper.randgen import random_high_girth, random_search_unavoidable
 
 from oracles import (
     berge_girth_bruteforce,
@@ -80,7 +82,36 @@ class TestGirth:
         h = Hypergraph(range(8), [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 0]])
         res = girth(h, cap=8)
         assert res.girth.value == 3
-        assert res.witness.length == 3
+        assert len(res.witness.edges) == 3
+
+
+class TestGirthAtLeast:
+    def test_agrees_with_the_capped_scan(self):
+        rng = random.Random(1717)
+        for _ in range(300):
+            h = random_hypergraph(rng, max_vertices=8, max_edges=8)
+            for g in range(2, 8):
+                expected = girth(h, cap=max(2, g - 1)).girth.guarantees_at_least(g)
+                assert girth_at_least(h, g) == expected
+
+    @pytest.mark.parametrize("g, b", [(4, 8), (6, 12)])
+    def test_holds_up_to_the_girth_of_pr3(self, g, b):
+        h = build_part_rainbow_forced(3, g).base
+        assert girth_at_least(h, b)
+        assert not girth_at_least(h, b + 1)
+
+    def test_girth_two_needs_no_scan(self, monkeypatch):
+        def unreachable(h):
+            raise AssertionError("a girth scan ran for g = 2")
+
+        # the name ``rmhyper.girth`` is the function; the module is imported by path
+        module = importlib.import_module("rmhyper.girth")
+        monkeypatch.setattr(module, "_incidence_adjacency", unreachable)
+        assert girth_at_least(Hypergraph(range(4), [(0, 1, 2), (0, 1, 3)]), 2)  # a 2-cycle
+        supply_min_degree_girth(3, 2, 4)
+        for s in range(3):
+            random_high_girth(8, 5, 2, s, samples=1)
+            random_search_unavoidable(8, 3, 2, seed=s, tries=2)
 
 
 class TestGirthAgainstBruteForce:

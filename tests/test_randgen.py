@@ -9,10 +9,10 @@ import pytest
 
 from oracles import counting_threshold_mpmath, sample_subedges_reference
 from rmhyper import randgen
-from rmhyper.coloring import VerdictStatus, find_good_coloring
+from rmhyper.coloring import Verdict, VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.formats import dumps
-from rmhyper.girth import girth
+from rmhyper.girth import Girth, GirthResult, girth
 from rmhyper.randgen import (
     ceil_power,
     counting_inequality_holds,
@@ -123,6 +123,23 @@ class TestRandomHighGirth:
             h = random_high_girth(10, 4, 3, seed=seed).hypergraph
             for a, b in combinations(h.edges, 2):
                 assert len(a & b) <= 1
+
+
+class TestPostconditions:
+    def test_deletion_loop_recheck_fires(self, monkeypatch):
+        # a scan that reports no cycle stops the deletion loop at once; the
+        # re-check runs its own scan and finds the sample's short cycles
+        monkeypatch.setattr(randgen, "girth", lambda h, cap: GirthResult(Girth.infinite(), None))
+        with pytest.raises(AssertionError, match="deletion loop failed to reach the girth target"):
+            random_high_girth(12, 5, 3, seed=1, samples=1)
+
+    def test_search_recheck_fires(self, monkeypatch):
+        two_cycle = Hypergraph(range(8), [(0, 1, 2), (0, 1, 3)])
+        holds = Verdict(VerdictStatus.PROPERTY_HOLDS, None, 1)
+        monkeypatch.setattr(randgen, "sample_subedges", lambda h, r, seed: ((), two_cycle))
+        monkeypatch.setattr(randgen, "find_good_coloring", lambda h, budget: holds)
+        with pytest.raises(AssertionError, match="certified instance fails its girth recheck"):
+            random_search_unavoidable(8, 3, 3, seed=0, tries=1)
 
 
 class TestBadCycleStatistics:
