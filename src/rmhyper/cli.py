@@ -102,7 +102,7 @@ def _write_text(text: str, path: str | None) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit(h: Hypergraph | PartiteHypergraph, meta: dict[str, Any], out: str | None) -> None:
+def _emit(h: Hypergraph, meta: dict[str, Any], out: str | None) -> None:
     _write_text(dumps(h, meta=meta), out)
 
 
@@ -153,11 +153,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_girth(args: argparse.Namespace) -> int:
     h = _load(args.file, loads)
-    base = h.base if isinstance(h, PartiteHypergraph) else h
-    result = girth(base, cap=args.cap)
+    result = girth(h, cap=args.cap)
     report: dict[str, Any] = {"girth": str(result.girth), "cap": args.cap}
     if args.witness and result.witness is not None:
-        order = {v: i for i, v in enumerate(base.vertices)}
+        order = {v: i for i, v in enumerate(h.vertices)}
         report["witness"] = {
             "edges": [sorted(e, key=order.__getitem__) for e in result.witness.edges],
             "vertices": list(result.witness.vertices),
@@ -173,8 +172,7 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     loaded = _load(args.file, loads)
     if args.kind == "good":
-        base = loaded.base if isinstance(loaded, PartiteHypergraph) else loaded
-        verdict = find_good_coloring(base, budget=args.budget)
+        verdict = find_good_coloring(loaded, budget=args.budget)
     else:
         if not isinstance(loaded, PartiteHypergraph):
             raise CliError(f"{args.file}: part-rainbow search needs a partite hypergraph")

@@ -351,7 +351,7 @@ def find_part_rainbow_bad(
     across different parts.  A ``budget`` below 1 raises ``ValueError``.
     """
     verdict = _backtrack(
-        p.base,
+        p,
         forbid_mono=False,
         groups=p.parts,
         budget=budget,
@@ -359,7 +359,7 @@ def find_part_rainbow_bad(
     )
     coloring = verdict.coloring
     if coloring is not None and (
-        has_rainbow_edge(p.base, coloring) or not is_part_rainbow(p, coloring)
+        has_rainbow_edge(p, coloring) or not is_part_rainbow(p, coloring)
     ):
         raise AssertionError("solver produced a coloring that fails re-verification")
     return verdict

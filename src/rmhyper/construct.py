@@ -158,10 +158,17 @@ def _factor_size(p: Any, a: int) -> _Size:
 
 def _complete_size(n: int, r: int) -> _Size:
     """complete_hypergraph(n, r), without computing C(n, r) past SIZE_CAP."""
-    digits = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
-    if digits > math.log10(SIZE_CAP):
+    edges = comb_at_most(n, r, SIZE_CAP + 1)
+    if edges > SIZE_CAP:
+        # log10 C(n, k) with ln(n! / (n-k)!) by Stirling's series, written
+        # through log1p: lgamma(n + 1) - lgamma(n - k + 1) cancels to 0.0 at
+        # n near 10^42
+        k = min(r, n - r)
+        falling = k * math.log(n) - (n - k + 0.5) * math.log1p(-k / n) - k
+        falling += (1 / n - 1 / (n - k)) / 12
+        digits = (falling - math.lgamma(k + 1)) / math.log(10)
         raise _Astronomical(f"complete base alone has ~10^{digits:.0f} edges")
-    return _Size(n, comb(n, r))
+    return _Size(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +324,12 @@ def attach_edge_markers(
     0..n-1, and the marker ids in canonical edge order.
     """
     r = p.num_parts
-    if p.num_edges and p.base.uniformity() != r:
+    if p.num_edges and p.uniformity() != r:
         raise HypergraphError(f"input must be {r}-uniform to match its {r} parts")
     n = p.num_vertices
     vmap = {v: i for i, v in enumerate(p.vertices)}
     markers = tuple(range(n, n + p.num_edges))
-    edges = [(*key, markers[pos]) for pos, key in enumerate(p.base.edge_index_tuples())]
+    edges = [(*key, markers[pos]) for pos, key in enumerate(p.edge_index_tuples())]
     parts = [tuple(vmap[v] for v in part) for part in p.parts]
     parts.append(markers)
     result = PartiteHypergraph(Hypergraph(range(n + p.num_edges), edges), parts)
@@ -354,7 +361,7 @@ def amalgamate(
     copy_maps: list[dict[VertexId, int]] = []
     edges: list[list[int]] = []
     other_parts: list[list[int]] = [[] for _ in range(h.num_parts)]
-    keys = h.base.edge_index_tuples()
+    keys = h.edge_index_tuples()
     fresh = nf
     for fe in f.edge_index_tuples():
         cmap: dict[VertexId, int] = {}
@@ -397,13 +404,13 @@ def complete_partite_factor(
     r = f.num_parts
     if num_parts < r:
         raise HypergraphError(f"need at least r={r} parts, got {num_parts}")
-    if f.num_edges and f.base.uniformity() != r:
+    if f.num_edges and f.uniformity() != r:
         raise HypergraphError(f"input must be {r}-uniform to match its {r} parts")
     nf = f.num_vertices
     copy_maps: list[dict[VertexId, int]] = []
     edges: list[list[int]] = []
     parts: list[list[int]] = [[] for _ in range(num_parts)]
-    keys = f.base.edge_index_tuples()
+    keys = f.edge_index_tuples()
     offset = 0
     for subset in combinations(range(num_parts), r):
         cmap = {v: offset + i for i, v in enumerate(f.vertices)}
@@ -612,7 +619,7 @@ def build_part_rainbow_forced(
     what = f"part-rainbow-forced recursion for r={r}, g={g}"
     _refuse_beyond(estimate_pr_size(r, g), what, limits)
     pr = _pr_recursion(r, g, _Build(limits))
-    _verify(pr.base, r, g)
+    _verify(pr, r, g)
     return pr
 
 

@@ -1,6 +1,7 @@
 """Immutable hypergraph values with validated structural invariants.
 
-The two value types here, :class:`Hypergraph` and :class:`PartiteHypergraph`,
+The two value types here, :class:`Hypergraph` and its subclass
+:class:`PartiteHypergraph`, a hypergraph with its vertices split into parts,
 are the carriers consumed by every other module.  Vertex identifiers are
 opaque hashables; the order in which vertices are first listed is the
 canonical order used for serialisation, tie breaking and reproducible seeded
@@ -203,7 +204,7 @@ class Hypergraph:
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hypergraph):
+        if type(other) is not type(self):
             return NotImplemented
         return self._vertices == other._vertices and self._edge_indices == other._edge_indices
 
@@ -214,15 +215,19 @@ class Hypergraph:
         return f"Hypergraph({self.num_vertices} vertices, {self.num_edges} edges)"
 
 
-class PartiteHypergraph:
-    """A hypergraph plus an ordered partition of its vertices into parts.
+class PartiteHypergraph(Hypergraph):
+    """A hypergraph with an ordered partition of its vertices into parts.
 
-    Invariants enforced at construction:
+    It takes on the vertices, vertex index and edge tuples of the valid
+    ``base`` it is built from, without validating them again.  Invariants
+    enforced at construction:
 
     * parts are pairwise disjoint and their union is the whole vertex set,
     * every edge contains at most one vertex from each part.
 
-    Part members are stored in canonical (base) vertex order.
+    Part members are stored in canonical (base) vertex order.  A partite
+    value equals only a partite value with the same base and parts;
+    :meth:`without_edges` and :meth:`induced` return plain hypergraphs.
     """
 
     __slots__ = ("_base", "_parts")
@@ -250,11 +255,13 @@ class PartiteHypergraph:
             if len({part_at[i] for i in key}) != len(key):
                 hits = sorted(part_at[i] for i in key)
                 raise HypergraphError(f"edge #{pos} meets one part more than once (parts {hits})")
+        self._adopt(vs, vindex, base.edge_index_tuples())
         self._base = base
         self._parts = tuple(norm)
 
     @property
     def base(self) -> Hypergraph:
+        """The hypergraph without parts that this value was built from."""
         return self._base
 
     @property
@@ -270,23 +277,6 @@ class PartiteHypergraph:
 
     def part_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self._parts)
-
-    # convenience delegates
-    @property
-    def vertices(self) -> tuple[VertexId, ...]:
-        return self._base.vertices
-
-    @property
-    def edges(self) -> tuple[frozenset[VertexId], ...]:
-        return self._base.edges
-
-    @property
-    def num_vertices(self) -> int:
-        return self._base.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._base.num_edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartiteHypergraph):

@@ -47,15 +47,12 @@ def _check_vertex_ids(ids: Sequence[VertexId]) -> None:
             raise FormatError(f"vertex ids {int(clash)!r} and {clash!r} have the same text form")
 
 
-def to_json_dict(
-    h: Hypergraph | PartiteHypergraph, meta: dict[str, Any] | None = None
-) -> dict[str, Any]:
+def to_json_dict(h: Hypergraph, meta: dict[str, Any] | None = None) -> dict[str, Any]:
     """The document that :func:`dumps` writes, as a dict."""
-    base = h.base if isinstance(h, PartiteHypergraph) else h
-    vs = base.vertices
+    vs = h.vertices
     doc: dict[str, Any] = {
         "vertices": list(vs),
-        "edges": [[vs[i] for i in key] for key in base.edge_index_tuples()],
+        "edges": [[vs[i] for i in key] for key in h.edge_index_tuples()],
     }
     if isinstance(h, PartiteHypergraph):
         doc["parts"] = [list(p) for p in h.parts]
@@ -64,7 +61,7 @@ def to_json_dict(
     return doc
 
 
-def from_json_dict(doc: dict[str, Any]) -> Hypergraph | PartiteHypergraph:
+def from_json_dict(doc: dict[str, Any]) -> Hypergraph:
     if not isinstance(doc, dict):
         raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("vertices", "edges"):
@@ -95,11 +92,10 @@ def _array(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def dumps(h: Hypergraph | PartiteHypergraph, meta: dict[str, Any] | None = None) -> str:
+def dumps(h: Hypergraph, meta: dict[str, Any] | None = None) -> str:
     """The canonical document, byte for byte
     ``json.dumps(to_json_dict(h, meta), sort_keys=True, indent=2) + "\\n"``."""
-    base = h.base if isinstance(h, PartiteHypergraph) else h
-    vs = base.vertices
+    vs = h.vertices
     _check_vertex_ids(vs)
     texts = json.dumps(vs, separators=("\n", ":"))[1:-1].split("\n") if vs else []
     # _array inlined for the edges, which are never empty: a call per edge
@@ -107,7 +103,7 @@ def dumps(h: Hypergraph | PartiteHypergraph, meta: dict[str, Any] | None = None)
     member = ",\n      "
     edges = [
         "[\n      " + member.join([texts[i] for i in key]) + "\n    ]"
-        for key in base.edge_index_tuples()
+        for key in h.edge_index_tuples()
     ]
     fields = ['"edges": ' + _array(edges, 1)]
     if meta is not None:
@@ -132,17 +128,17 @@ def _meta_of(doc: Any) -> dict[str, Any]:
     return meta if isinstance(meta, dict) else {}
 
 
-def _loads_with_meta(text: str) -> tuple[Hypergraph | PartiteHypergraph, dict[str, Any]]:
+def _loads_with_meta(text: str) -> tuple[Hypergraph, dict[str, Any]]:
     """:func:`loads` and :func:`load_meta` of ``text`` from one parse."""
     doc = _decode(text)
     return from_json_dict(doc), _meta_of(doc)
 
 
-def loads(text: str) -> Hypergraph | PartiteHypergraph:
+def loads(text: str) -> Hypergraph:
     return from_json_dict(_decode(text))
 
 
-def load_path(path: str) -> Hypergraph | PartiteHypergraph:
+def load_path(path: str) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fp:
         return loads(fp.read())
 
@@ -157,18 +153,17 @@ def _dot_id(prefix: str, value: Any) -> str:
     return f'"{prefix}:{text}"'
 
 
-def to_dot(h: Hypergraph | PartiteHypergraph) -> str:
+def to_dot(h: Hypergraph) -> str:
     """Bipartite incidence graph in DOT: round vertex nodes, boxed edge nodes."""
-    base = h.base if isinstance(h, PartiteHypergraph) else h
-    vs = base.vertices
+    vs = h.vertices
     _check_vertex_ids(vs)
     vnames = [_dot_id("v", v) for v in vs]
-    enames = [_dot_id("e", pos) for pos in range(base.num_edges)]
+    enames = [_dot_id("e", pos) for pos in range(h.num_edges)]
     lines = ["graph incidence {"]
     lines += [f"  {name} [shape=circle];" for name in vnames]
     lines += [f"  {name} [shape=box];" for name in enames]
     heads = [f"  {name} -- " for name in vnames]
-    for ename, key in zip(enames, base.edge_index_tuples()):
+    for ename, key in zip(enames, h.edge_index_tuples()):
         tail = f"{ename};"
         lines += [heads[i] + tail for i in key]
     lines.append("}")

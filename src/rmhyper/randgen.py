@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from math import comb, log, log1p
+from math import ceil, comb, exp, floor, log, log1p
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import BuildLimits, SizeEstimate, SizeLimitError
@@ -42,11 +42,22 @@ def ceil_power(n: int, num: int, den: int) -> int:
     without the root: ln n < bit_length(n) <= den / (n + 1) <= den ln(1 + 1/n),
     so n < n**(num/den) < n + 1.  This keeps huge girth targets from raising
     n to a power with as many digits as den.
+
+    Otherwise a float estimate brackets the root within one or two units, and
+    two exact checks confirm the bracket before the binary search; where the
+    float overflows or misses, the search starts from [1, n**ceil(num/den)].
     """
     if num == den + 1 and n >= 2 and den >= (n + 1) * n.bit_length():
         return n + 1
     target = n**num
     lo, hi = 1, max(2, n ** -(-num // den))
+    try:
+        est = exp(num / den * log(n))  # relative error below 1e-12 up to 1e308
+        near_lo, near_hi = max(1, floor(est * (1 - 2**-36))), ceil(est * (1 + 2**-36))
+        if near_hi**den >= target and (near_lo == 1 or near_lo**den < target):
+            lo, hi = (1 if near_lo == 1 else near_lo + 1), near_hi
+    except OverflowError:
+        pass
     while lo < hi:
         mid = (lo + hi) // 2
         if mid**den >= target:
@@ -196,13 +207,17 @@ def counting_inequality_holds(n: int, r: int, g: int) -> bool:
     return bool(hi_lhs < hi_rhs)
 
 
-def _subset_count(r: int) -> int:
+def _check_r(r: int) -> int:
     if r < 3:
         raise ValueError(
             "the counting argument needs r >= 3: for r = 2 there is a single "
             "2-subset per carrier edge and the bound is vacuous"
         )
-    return comb((r - 1) ** 2 + 1, r)
+    return r
+
+
+def _subset_count(r: int) -> int:
+    return comb((_check_r(r) - 1) ** 2 + 1, r)
 
 
 def _first_holding(holds, n_max: int) -> int | None:
@@ -241,9 +256,16 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
     walk from the binary search's result, and its result is re-verified the
     same way.
     """
-    a = _subset_count(r)
+    _check_r(r)
     if g < 2:
         raise ValueError(f"girth target must be >= 2, got {g}")
+    # With a - 1 >= n_max^(1/g) no n <= n_max satisfies the inequality: its
+    # right side is at most n^(1+1/g) / (a-1) <= n, below n ln n + ln(a-1).
+    # Decided without computing a, which has millions of digits at huge r.
+    root = 2 if g >= n_max.bit_length() else ceil_power(n_max, 1, g)  # >= n_max^(1/g)
+    if comb_at_most((r - 1) ** 2 + 1, r, root + 1) > root:
+        raise ArithmeticError(f"no satisfying n found below {n_max}")
+    a = _subset_count(r)
 
     c, slope, power = log(a - 1), log1p(1 / (a - 1)), 1 + 1 / g
     try:  # floats overflow past 1e308, and the exact check can be undecided
@@ -291,7 +313,7 @@ def random_search_unavoidable(
     and one r-subset of each of its edges.  Every certified instance is
     re-verified: girth at least g and an exhausted good-coloring search.
     """
-    _subset_count(r)  # rejects r < 3
+    _check_r(r)
     if g < 2:
         raise ValueError(f"girth target must be >= 2, got {g}")
     carrier_uniformity = (r - 1) ** 2 + 1

@@ -246,31 +246,30 @@ def closing_vertex_search(
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the writers, the threshold search and the sub-edge draw
-# before their rewrites
+# Reference kernels: the writers, the threshold search, the sub-edge draw and
+# the integer root before their rewrites
 # ---------------------------------------------------------------------------
 
 
-def dumps_reference(h: Hypergraph | PartiteHypergraph, meta=None) -> str:
+def dumps_reference(h: Hypergraph, meta=None) -> str:
     """The canonical document through the pure-Python indenting encoder."""
     return json.dumps(to_json_dict(h, meta), sort_keys=True, indent=2) + "\n"
 
 
-def to_dot_reference(h: Hypergraph | PartiteHypergraph) -> str:
+def to_dot_reference(h: Hypergraph) -> str:
     """The DOT export as it was, naming a vertex once per incidence."""
 
     def dot_id(prefix, value) -> str:
         text = str(value).replace("\\", "\\\\").replace('"', '\\"')
         return f'"{prefix}:{text}"'
 
-    base = h.base if isinstance(h, PartiteHypergraph) else h
-    vs = base.vertices
+    vs = h.vertices
     lines = ["graph incidence {"]
     for v in vs:
         lines.append(f"  {dot_id('v', v)} [shape=circle];")
-    for pos in range(base.num_edges):
+    for pos in range(h.num_edges):
         lines.append(f"  {dot_id('e', pos)} [shape=box];")
-    for pos, key in enumerate(base.edge_index_tuples()):
+    for pos, key in enumerate(h.edge_index_tuples()):
         for i in key:
             lines.append(f"  {dot_id('v', vs[i])} -- {dot_id('e', pos)};")
     lines.append("}")
@@ -317,6 +316,21 @@ def sample_subedges_reference(h: Hypergraph, r: int, seed: int) -> tuple[tuple, 
         choices.append(frozenset(rng.sample(members, r)))
     dedup = {tuple(sorted(c, key=index_order.__getitem__)) for c in choices}
     return tuple(choices), Hypergraph(h.vertices, sorted(dedup))
+
+
+def ceil_power_reference(n: int, num: int, den: int) -> int:
+    """ceil(n**(num/den)) by a binary search over [1, n**ceil(num/den)]."""
+    if num == den + 1 and n >= 2 and den >= (n + 1) * n.bit_length():
+        return n + 1
+    target = n**num
+    lo, hi = 1, max(2, n ** -(-num // den))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**den >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---------------------------------------------------------------------------

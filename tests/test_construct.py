@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -412,6 +413,20 @@ class TestBuildRmUnavoidable:
         with pytest.raises(SizeLimitError) as err:
             build_rm_unavoidable(3, 3)
         assert err.value.estimate.astronomical
+
+    def test_huge_complete_base_is_astronomical(self):
+        # C(n, r) at n = (r - 1)^2 + 1, r = 10^21 has about 2.14 * 10^22 digits;
+        # lgamma differences cancel to 0.0 there and comb() overflowed
+        est = estimate_h_size(10**21, 2)
+        assert est.astronomical and est.vertices is None
+        assert est.note.startswith("complete base alone has ~10^2143429448190")
+
+    @pytest.mark.parametrize("n, r", [(60, 30), (122, 12), (10**6, 3), (10**14, 40), (5000, 2500)])
+    def test_astronomical_note_counts_the_digits(self, n, r):
+        with pytest.raises(construct._Astronomical) as err:
+            construct._complete_size(n, r)
+        digits = math.log10(comb(n, r))
+        assert err.value.estimate.note == f"complete base alone has ~10^{digits:.0f} edges"
 
     def test_estimates(self):
         est = estimate_h_size(3, 2)

@@ -8,6 +8,9 @@ from rmhyper.core import (
     PartiteHypergraph,
     complete_hypergraph,
 )
+from rmhyper.coloring import VerdictStatus, find_good_coloring
+from rmhyper.construct import build_part_rainbow_forced, complete_partite_factor
+from rmhyper.girth import girth, girth_at_least
 
 from oracles import disjoint_union, random_hypergraph
 import random
@@ -209,6 +212,50 @@ class TestPartiteValidation:
     def test_empty_part_allowed(self):
         p = PartiteHypergraph(Hypergraph([0, 1], [[0, 1]]), [(0,), (1,), ()])
         assert p.part_sizes() == (1, 1, 0)
+
+
+def _pr33_and_factor():
+    pr = build_part_rainbow_forced(3, 3)
+    return pr, complete_partite_factor(pr, 4)[0]
+
+
+class TestPartiteIsAHypergraph:
+    """A partite value goes into every hypergraph function as it is, with
+    the result that its base gives."""
+
+    def test_girth_as_on_the_base(self):
+        for p in _pr33_and_factor():
+            for cap in (4, 6, 10):
+                result = girth(p, cap)
+                assert result == girth(p.base, cap)
+            assert result.girth.value == 6 and result.witness is not None
+            for g in range(2, 9):
+                assert girth_at_least(p, g) == girth_at_least(p.base, g) == (g <= 6)
+
+    def test_good_coloring_search_as_on_the_base(self):
+        for p in _pr33_and_factor():
+            verdict = find_good_coloring(p)
+            assert verdict == find_good_coloring(p.base)
+            assert verdict.status is VerdictStatus.WITNESS_FOUND
+            assert verdict.nodes == p.num_vertices
+
+    def test_equal_only_to_partite_values(self):
+        base = path_graph()
+        p = PartiteHypergraph(base, [("x", "z"), ("y",)])
+        assert isinstance(p, Hypergraph)
+        assert p != p.base and p.base != p
+        assert len({p, p.base}) == 2
+        assert p == PartiteHypergraph(Hypergraph(["x", "y", "z"], base.edges), [("z", "x"), ("y",)])
+        assert p != PartiteHypergraph(base, [("x", "z"), ("y",), ()])
+        assert (p.vertices, p.edges, p.num_vertices, p.num_edges) == (
+            base.vertices, base.edges, 3, 2,
+        )
+
+    def test_derived_values_have_no_parts(self):
+        p = PartiteHypergraph(path_graph(), [("x", "z"), ("y",)])
+        assert type(p.without_edges([])) is Hypergraph
+        assert p.without_edges([]) == p.base
+        assert type(p.induced(["x", "y"])) is Hypergraph
 
 
 @st.composite

@@ -157,6 +157,19 @@ class TestCli:
         assert code == 1
         assert report["status"] == "property_holds"
 
+    def test_solve_good_on_a_partite_file_as_on_its_base(self, tmp_path, capsys):
+        out = tmp_path / "pr.json"
+        assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(out)]) == 0
+        base = tmp_path / "base.json"
+        base.write_text(dumps(load_path(str(out)).base))
+        reports = []
+        for f in (out, base):
+            capsys.readouterr()
+            assert run(["solve", "good", str(f)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0]["status"] == "witness_found"
+
     def test_construct_pr_is_reproducible(self, tmp_path, capsys):
         built = []
         for run_index in ("a", "b"):
@@ -216,6 +229,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 4
         assert "refused" in captured.err
+
+    def test_extreme_r_is_refused_as_astronomical(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(["construct", "h", "--r", "1000000000000000000000", "--g", "2", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.rstrip().endswith("[estimate: astronomical]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["random", "search", "--n", "10", "--r", "200000", "--g", "2"],
+             "error: need n >= 39999600002 vertices, got 10"),
+            (["bound", "--r", "200000", "--g", "3"],
+             "error: no satisfying n found below 1000000000000"),
+            (["bound", "--r", "20000", "--g", "3"],
+             "error: no satisfying n found below 1000000000000"),
+        ],
+    )
+    def test_huge_r_is_refused_at_once(self, argv, message):
+        # C((r-1)^2 + 1, r) has about a million digits at r = 200,000: these
+        # commands computed it, or ran mpmath on it, before refusing
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "rmhyper", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        elapsed = time.perf_counter() - t0
+        assert done.returncode == 3
+        assert done.stderr.strip() == message
+        assert elapsed < 2.0  # interpreter start-up included
 
     def test_size_limit_refuses_complete_base(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -1,13 +1,14 @@
 import gc
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from oracles import counting_threshold_mpmath, sample_subedges_reference
+from oracles import ceil_power_reference, counting_threshold_mpmath, sample_subedges_reference
 from rmhyper import randgen
 from rmhyper.coloring import Verdict, VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
@@ -55,6 +56,26 @@ class TestCeilPower:
                 c = ceil_power(n, g + 1, g)
                 assert (c - 1) ** g < n ** (g + 1) <= c**g, (n, g)
             assert ceil_power(n, 10**9 + 1, 10**9) == n + 1
+
+    def test_float_bracket_matches_the_full_search(self):
+        for n in range(1, 80):
+            for g in range(1, 60):
+                for num, den in ((g + 1, g), (2 * g + 1, g), (g, 1), (3, 2 * g)):
+                    assert ceil_power(n, num, den) == ceil_power_reference(n, num, den), (
+                        n, num, den,
+                    )
+        # past 1e308 the float overflows and the full search runs
+        assert ceil_power(10**200, 2, 1) == 10**400
+        assert ceil_power(10**200, 3, 2) == ceil_power_reference(10**200, 3, 2) == 10**300
+
+    def test_below_the_cutoff_without_a_wide_search(self):
+        # the full search raises a 1.7-million-bit power about 35 times here
+        t0 = time.perf_counter()
+        c = ceil_power(100_000, 100_001, 100_000)
+        elapsed = time.perf_counter() - t0
+        assert c == 100_012
+        assert elapsed < 2.0
+        assert (c - 1) ** 100_000 < 100_000**100_001 <= c**100_000
 
 
 class TestRandomHighGirth:
@@ -260,6 +281,14 @@ class TestCountingThreshold:
     )
     def test_matches_the_exact_search_beyond_floats(self, r, g, n_max):
         self.check_matches_the_exact_search(r, g, n_max)
+
+    @pytest.mark.parametrize("n_max", [80, 81, 82, 10**3, 10**6])
+    def test_refusal_without_a_search_matches_the_exact_search(self, n_max):
+        # no n <= n_max can hold once (a - 1)^g >= n_max; for r = 3, g = 2
+        # that is 81, so from n_max = 82 on the search runs
+        for r in (3, 4, 6):
+            for g in (2, 3, 5):
+                self.check_matches_the_exact_search(r, g, n_max)
 
     @staticmethod
     def check_matches_the_exact_search(r, g, n_max):
