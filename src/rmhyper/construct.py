@@ -25,10 +25,10 @@ All construction operations relabel their output onto integer vertex ids
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 from typing import Any, Callable, Sequence
 
 from .core import (
@@ -160,15 +160,39 @@ def _complete_size(n: int, r: int) -> _Size:
     """complete_hypergraph(n, r), without computing C(n, r) past SIZE_CAP."""
     edges = comb_at_most(n, r, SIZE_CAP + 1)
     if edges > SIZE_CAP:
-        # log10 C(n, k) with ln(n! / (n-k)!) by Stirling's series, written
-        # through log1p: lgamma(n + 1) - lgamma(n - k + 1) cancels to 0.0 at
-        # n near 10^42
-        k = min(r, n - r)
-        falling = k * math.log(n) - (n - k + 0.5) * math.log1p(-k / n) - k
-        falling += (1 / n - 1 / (n - k)) / 12
-        digits = (falling - math.lgamma(k + 1)) / math.log(10)
-        raise _Astronomical(f"complete base alone has ~10^{digits:.0f} edges")
+        raise _Astronomical(f"complete base alone has ~10^{_log10_comb(n, r):.0f} edges")
     return _Size(n, edges)
+
+
+_HALF_LN_2PI = Decimal("0.918938533204672741780329736405617639861397473637783")
+
+
+def _log10_comb(n: int, r: int) -> Decimal:
+    """log10 C(n, r) in 50-digit decimal arithmetic whatever the operands'
+    size: no operand passes through a float (r near 10^400 overflows one).
+
+    ln(n! / (n-k)!) is Stirling's series up to 1/(12 m), with -ln(1 - k/n)
+    summed as sum_j (k/n)^j / j, since ln n - ln(n-k) would cancel all of n's
+    digits.  ln k! is exact below k = 1000 and Stirling's series above, whose
+    first omitted term is below 1e-18.  So the error is about
+    1/(360 (n-k)^3) plus rounding in the 45th digit.
+    """
+    k = min(r, n - r)
+    with localcontext(Context(prec=50)):
+        dn, dk = +Decimal(n), +Decimal(k)
+        x = dk / dn  # at most 1/2
+        neg_log1p, power, j = Decimal(0), x, 1
+        while neg_log1p + power / j != neg_log1p:
+            neg_log1p += power / j
+            power, j = power * x, j + 1
+        falling = dk * dn.ln() + (dn - dk + Decimal("0.5")) * neg_log1p - dk
+        falling += (1 / dn - 1 / (dn - dk)) / 12
+        if k < 1000:
+            log_k_factorial = Decimal(factorial(k)).ln()
+        else:
+            log_k_factorial = (dk + Decimal("0.5")) * dk.ln() - dk + _HALF_LN_2PI
+            log_k_factorial += 1 / (12 * dk) - 1 / (360 * dk**3)
+        return (falling - log_k_factorial) / Decimal(10).ln()
 
 
 # ---------------------------------------------------------------------------

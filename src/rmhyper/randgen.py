@@ -8,15 +8,17 @@ until the girth target holds.  :func:`sample_subedges` draws one r-subset
 from each carrier edge's position tuple; the r-uniform hypergraph they span
 inherits the carrier's girth.  :func:`random_search_unavoidable` repeats
 both with R = (r-1)^2+1 and hands each result to the coloring solver until
-one is certified.  The counting bound is evaluated as exact high-precision
-arithmetic instead of re-proving the existence result, whose n is far beyond
-desk scale.
+one is certified.  The counting bound is evaluated in the standard
+library's decimal arithmetic at fixed precisions instead of re-proving the
+existence result, whose n is far beyond desk scale.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 from math import ceil, comb, exp, floor, log, log1p
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
@@ -183,21 +185,34 @@ class ThresholdResult:
     a: int
 
 
-def _counting_sides(n: int, a: int, g: int, dps: int = 50):
-    from mpmath import mp
+@lru_cache(maxsize=16)
+def _log_terms(a: int, dps: int) -> tuple[Decimal, Decimal]:
+    """ln(a-1) and ln(a/(a-1)) to ``dps`` significant digits.  The quotient
+    carries as many guard digits as ``a`` has, since its logarithm cancels
+    them."""
+    with localcontext(Context(prec=dps + a.bit_length() // 3 + 1)):
+        terms = Decimal(a - 1).ln(), (Decimal(a) / (a - 1)).ln()
+    with localcontext(Context(prec=dps)):
+        return +terms[0], +terms[1]
 
-    with mp.workdps(dps):
-        nn = mp.mpf(n)
-        lhs = nn * mp.log(nn) + mp.log(a - 1)
-        rhs = nn ** (1 + mp.mpf(1) / g) * mp.log(mp.mpf(a) / (a - 1))
-        return lhs, rhs
+
+def _counting_sides(n: int, a: int, g: int, dps: int = 50) -> tuple[Decimal, Decimal]:
+    """Both sides of the counting inequality in ``dps``-digit decimal
+    arithmetic, with ln n taken once and n^(1/g) as exp(ln n / g)."""
+    log_a1, slope = _log_terms(a, dps)
+    with localcontext(Context(prec=dps)):
+        nn = Decimal(n)
+        log_n = nn.ln()
+        return nn * log_n + log_a1, nn * (log_n / g).exp() * slope
 
 
 def counting_inequality_holds(n: int, r: int, g: int) -> bool:
     """Exact check of n ln n + ln(a-1) < n^(1+1/g) ln(a/(a-1)).
 
     ``a`` is the number of r-subsets of an edge of the (r-1)^2+1-uniform
-    carrier.  Evaluated at two precisions; disagreement would raise.
+    carrier.  Both sides are evaluated in decimal arithmetic at 30 and at 60
+    significant digits; if the two comparisons disagree, ArithmeticError is
+    raised.
     """
     a = _subset_count(r)
     lo_lhs, lo_rhs = _counting_sides(n, a, g, dps=30)

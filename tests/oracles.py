@@ -16,13 +16,7 @@ from itertools import combinations, permutations
 from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
 from rmhyper.formats import to_json_dict
-from rmhyper.randgen import (
-    ThresholdResult,
-    _counting_sides,
-    _subset_count,
-    counting_inequality_holds,
-    derive_seed,
-)
+from rmhyper.randgen import ThresholdResult, _subset_count, derive_seed
 
 
 def bell_number(n: int) -> int:
@@ -276,32 +270,60 @@ def to_dot_reference(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counting_threshold_mpmath(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
-    """The threshold search run on the exact two-precision check alone."""
+def counting_sides_mpmath(n: int, a: int, g: int, dps: int = 50):
+    """Both sides of the counting inequality in mpmath, as the library
+    evaluated them before it moved to the standard library's decimal."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        nn = mp.mpf(n)
+        lhs = nn * mp.log(nn) + mp.log(a - 1)
+        rhs = nn ** (1 + mp.mpf(1) / g) * mp.log(mp.mpf(a) / (a - 1))
+        return lhs, rhs
+
+
+def counting_inequality_holds_mpmath(n: int, r: int, g: int) -> bool:
+    """The two-precision check on :func:`counting_sides_mpmath`."""
+    a = _subset_count(r)
+    lo_lhs, lo_rhs = counting_sides_mpmath(n, a, g, dps=30)
+    hi_lhs, hi_rhs = counting_sides_mpmath(n, a, g, dps=60)
+    if (lo_lhs < lo_rhs) != (hi_lhs < hi_rhs):
+        raise ArithmeticError(f"precision-dependent comparison at n={n}")
+    return bool(hi_lhs < hi_rhs)
+
+
+def counting_threshold_exact(r: int, g: int, holds, sides, *, n_max: int = 10**12) -> ThresholdResult:
+    """The threshold search run on an exact check ``holds(n, r, g)`` alone,
+    reporting ``sides(n, a, g)`` at the threshold."""
     a = _subset_count(r)
     if g < 2:
         raise ValueError(f"girth target must be >= 2, got {g}")
     hi = 2
-    while not counting_inequality_holds(hi, r, g):
+    while not holds(hi, r, g):
         hi *= 2
         if hi > n_max:
             raise ArithmeticError(f"no satisfying n found below {n_max}")
     lo = max(2, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if counting_inequality_holds(mid, r, g):
+        if holds(mid, r, g):
             hi = mid
         else:
             lo = mid + 1
     n = hi
-    while n > 2 and counting_inequality_holds(n - 1, r, g):
+    while n > 2 and holds(n - 1, r, g):
         n -= 1
-    if not counting_inequality_holds(n, r, g) or (
-        n > 2 and counting_inequality_holds(n - 1, r, g)
-    ):
+    if not holds(n, r, g) or (n > 2 and holds(n - 1, r, g)):
         raise ArithmeticError("threshold boundary verification failed")
-    lhs, rhs = _counting_sides(n, a, g)
+    lhs, rhs = sides(n, a, g)
     return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
+
+
+def counting_threshold_mpmath(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
+    """The exact threshold search on the mpmath two-precision check."""
+    return counting_threshold_exact(
+        r, g, counting_inequality_holds_mpmath, counting_sides_mpmath, n_max=n_max
+    )
 
 
 def sample_subedges_reference(h: Hypergraph, r: int, seed: int) -> tuple[tuple, Hypergraph]:

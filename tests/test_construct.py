@@ -421,6 +421,16 @@ class TestBuildRmUnavoidable:
         assert est.astronomical and est.vertices is None
         assert est.note.startswith("complete base alone has ~10^2143429448190")
 
+    @pytest.mark.parametrize("d", [400, 4000])
+    def test_complete_base_past_the_float_range_is_astronomical(self, d):
+        # log10 C(n, r) at n = (r - 1)^2 + 1, r = 10^d is 10^d (d + log10 e)
+        # less a few units; r passed through a float before and overflowed
+        est = estimate_h_size(10**d, 2)
+        assert est.astronomical and est.vertices is None
+        digits = est.note.removeprefix("complete base alone has ~10^").removesuffix(" edges")
+        assert digits.startswith(f"{d}43429448190325182765")
+        assert len(digits) == d + len(str(d))
+
     @pytest.mark.parametrize("n, r", [(60, 30), (122, 12), (10**6, 3), (10**14, 40), (5000, 2500)])
     def test_astronomical_note_counts_the_digits(self, n, r):
         with pytest.raises(construct._Astronomical) as err:

@@ -5,11 +5,12 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from rmhyper import cli
+from rmhyper import cli, randgen
 from rmhyper.cli import run
 from rmhyper.core import Hypergraph, PartiteHypergraph, complete_hypergraph
 from rmhyper.formats import (
@@ -107,6 +108,12 @@ class TestDot:
         h = Hypergraph(['a"b', "c"], [['a"b', "c"]])
         dot = to_dot(h)
         assert '\\"' in dot
+
+
+def _src_env() -> dict:
+    """The environment for a subprocess that imports the package from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestCli:
@@ -238,6 +245,30 @@ class TestCli:
         assert captured.err.rstrip().endswith("[estimate: astronomical]")
         assert not out.exists()
 
+    def test_r_past_the_float_range_is_refused_as_astronomical(self, tmp_path, capsys):
+        # C(n, r) has about 4 * 10^402 digits; its digit count once multiplied
+        # r by a float and exited 5 with an OverflowError
+        out = tmp_path / "x.json"
+        t0 = time.perf_counter()
+        code = run(["construct", "h", "--r", "1" + "0" * 400, "--g", "2", "-o", str(out)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert captured.err.rstrip().endswith("[estimate: astronomical]")
+        assert "~10^40043429448190325182765" in captured.err
+        assert not out.exists()
+        assert elapsed < 1.0
+
+    def test_precision_dependent_bound_is_an_error(self, capsys, monkeypatch):
+        def sides(n, a, g, dps=50):  # the 30-digit sides say "holds", the 60-digit ones not
+            return (Decimal(1), Decimal(2)) if dps == 30 else (Decimal(2), Decimal(1))
+
+        monkeypatch.setattr(randgen, "_counting_sides", sides)
+        assert run(["bound", "--r", "3", "--g", "3"]) == cli.EXIT_BAD_INPUT == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision-dependent comparison at n=2\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -252,8 +283,7 @@ class TestCli:
     def test_huge_r_is_refused_at_once(self, argv, message):
         # C((r-1)^2 + 1, r) has about a million digits at r = 200,000: these
         # commands computed it, or ran mpmath on it, before refusing
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _src_env()
         t0 = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "rmhyper", *argv],
@@ -334,8 +364,7 @@ class TestCli:
         assert report["threshold"] == 7081
 
     def test_module_form_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _src_env()
         done = subprocess.run(
             [sys.executable, "-m", "rmhyper", "bound", "--r", "3", "--g", "3"],
             env=env, capture_output=True, text=True, timeout=120,
@@ -544,6 +573,36 @@ def test_cli_chain_is_byte_identical(tmp_path, monkeypatch, capsys):
         argv = shlex.split(command)
         assert run(argv) == code, capsys.readouterr().err
         assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest, command
+
+
+def test_bound_runs_without_mpmath(tmp_path):
+    # the counting bound is plain decimal arithmetic: with mpmath made
+    # unimportable, `python -m rmhyper bound` writes the pinned bytes
+    script = (
+        "import runpy, sys; sys.modules['mpmath'] = None; "
+        "sys.argv = ['rmhyper', 'bound', '--r', '3', '--g', '3', '-o', 'bound.json']; "
+        "runpy.run_module('rmhyper', run_name='__main__')"
+    )
+    env = _src_env()
+    env.pop(cli.OUTPUT_DIR_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    pinned = {shlex.split(command)[-1]: digest for command, _, digest in CLI_CHAIN}
+    assert hashlib.sha256((tmp_path / "bound.json").read_bytes()).hexdigest() == pinned["bound.json"]
+
+
+def test_counting_threshold_does_not_import_mpmath():
+    script = (
+        "import sys; from rmhyper.randgen import counting_threshold; "
+        "counting_threshold(3, 3); print('mpmath' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_random_search_without_a_find_writes_the_hardest_attempt(tmp_path, capsys):

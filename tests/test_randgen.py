@@ -1,14 +1,22 @@
 import gc
 import math
 import random
+import re
 import time
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from oracles import ceil_power_reference, counting_threshold_mpmath, sample_subedges_reference
+from oracles import (
+    ceil_power_reference,
+    counting_inequality_holds_mpmath,
+    counting_threshold_exact,
+    counting_threshold_mpmath,
+    sample_subedges_reference,
+)
 from rmhyper import randgen
 from rmhyper.coloring import Verdict, VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
@@ -291,9 +299,15 @@ class TestCountingThreshold:
                 self.check_matches_the_exact_search(r, g, n_max)
 
     @staticmethod
-    def check_matches_the_exact_search(r, g, n_max):
+    def exact_search(r, g, n_max=10**12):
+        # the same search on the library's own two-precision check
+        return counting_threshold_exact(
+            r, g, counting_inequality_holds, randgen._counting_sides, n_max=n_max
+        )
+
+    def check_matches_the_exact_search(self, r, g, n_max):
         try:
-            expected = counting_threshold_mpmath(r, g, n_max=n_max)
+            expected = self.exact_search(r, g, n_max=n_max)
         except ArithmeticError as exc:
             with pytest.raises(ArithmeticError, match=str(exc)):
                 counting_threshold(r, g, n_max=n_max)
@@ -303,12 +317,12 @@ class TestCountingThreshold:
     def test_a_wrong_float_search_falls_back_to_the_exact_one(self, monkeypatch):
         # skew the float evaluation so that its boundary is off for (3, 3)
         monkeypatch.setattr(randgen, "log1p", lambda x: math.log1p(x) * 1.01)
-        assert counting_threshold(3, 3) == counting_threshold_mpmath(3, 3)
+        assert counting_threshold(3, 3) == self.exact_search(3, 3)
 
     @pytest.mark.parametrize("r, g", [(2, 3), (3, 1)])
     def test_invalid_inputs_raise_as_the_exact_search(self, r, g):
         with pytest.raises(ValueError) as expected:
-            counting_threshold_mpmath(r, g)
+            self.exact_search(r, g)
         with pytest.raises(ValueError, match=str(expected.value)):
             counting_threshold(r, g)
 
@@ -316,6 +330,62 @@ class TestCountingThreshold:
         res = counting_threshold(3, 2)
         for n in range(res.n, 2 * res.n + 1, max(1, res.n // 7)):
             assert counting_inequality_holds(n, 3, 2)
+
+    @pytest.mark.parametrize("r", [3, 8, 11])
+    def test_log_terms_keep_every_digit(self, r):
+        # ln(a/(a-1)) cancels about as many digits as a has; the cached terms
+        # still match an evaluation with 100 more digits, rounded
+        a = comb((r - 1) ** 2 + 1, r)
+        for dps in (30, 50, 60):
+            with localcontext(Context(prec=dps + 100)):
+                wide = Decimal(a - 1).ln(), (Decimal(a) / (a - 1)).ln()
+            with localcontext(Context(prec=dps)):
+                assert randgen._log_terms(a, dps) == (+wide[0], +wide[1])
+
+    def test_precision_disagreement_raises(self, monkeypatch):
+        def sides(n, a, g, dps=50):  # the 30-digit sides say "holds", the 60-digit ones not
+            return (Decimal(1), Decimal(2)) if dps == 30 else (Decimal(2), Decimal(1))
+
+        monkeypatch.setattr(randgen, "_counting_sides", sides)
+        with pytest.raises(ArithmeticError, match="precision-dependent comparison at n=5$"):
+            counting_inequality_holds(5, 3, 3)
+        with pytest.raises(ArithmeticError, match="precision-dependent comparison at n=2$"):
+            counting_threshold(3, 3)
+
+
+class TestCountingSidesAgainstMpmath:
+    """The decimal evaluation against the earlier mpmath one, kept in
+    ``oracles.counting_sides_mpmath`` as an independent route."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("r", range(3, 12))
+    def test_thresholds_and_sides_match_bit_for_bit(self, r):
+        for g in range(2, 40):
+            try:
+                expected = counting_threshold_mpmath(r, g)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError, match=f"^{re.escape(str(exc))}$"):
+                    counting_threshold(r, g)
+                continue
+            got = counting_threshold(r, g)
+            assert (got.n, got.a) == (expected.n, expected.a), (r, g)
+            assert got.lhs.hex() == expected.lhs.hex() and got.rhs.hex() == expected.rhs.hex()
+
+    def test_random_decisions_agree(self):
+        rng = random.Random(2020)
+        for _ in range(3000):
+            r, g = rng.randint(3, 11), rng.randint(2, 39)
+            n = rng.randint(2, 10 ** rng.randint(1, 12))
+            assert counting_inequality_holds(n, r, g) == counting_inequality_holds_mpmath(n, r, g), (n, r, g)
+
+    @pytest.mark.parametrize("r, g", [(3, 2), (3, 3), (4, 2), (5, 2)])
+    def test_decisions_agree_around_the_threshold(self, r, g):
+        n = counting_threshold(r, g).n
+        for m in range(n - 40, n + 41):
+            assert counting_inequality_holds(m, r, g) == counting_inequality_holds_mpmath(m, r, g), m
 
 
 class TestRandomSearch:
