@@ -1,8 +1,8 @@
 """High-girth hypergraphs with unavoidable monochromatic or rainbow edges.
 
 Constructions (amalgamation-based and probabilistic) together with exact
-desk-scale verifiers: Berge girth with cycle witnesses, exhaustive short
-cycle counting, and a canonical-partition coloring solver.
+desk-scale verifiers: Berge girth with cycle witnesses and a
+canonical-partition coloring solver.
 """
 
 __version__ = "0.1.0"
@@ -39,11 +39,8 @@ from .construct import (
 )
 from .girth import (
     CycleWitness,
-    EnumerationBudgetError,
     Girth,
     GirthResult,
-    count_cycles,
-    cycle_count_bound_check,
     girth,
     girth_at_least,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "Coloring",
     "CycleWitness",
     "EdgeClass",
-    "EnumerationBudgetError",
     "Girth",
     "GirthResult",
     "Hypergraph",
@@ -98,10 +94,8 @@ __all__ = [
     "coloring_is_good",
     "complete_hypergraph",
     "complete_partite_factor",
-    "count_cycles",
     "counting_inequality_holds",
     "counting_threshold",
-    "cycle_count_bound_check",
     "estimate_h_size",
     "estimate_pr_size",
     "find_good_coloring",

@@ -80,12 +80,6 @@ class Coloring:
             raise ColoringError(f"assignment colors unknown vertices {extra!r}")
         return cls(canonical)
 
-    def class_sizes(self) -> tuple[int, ...]:
-        sizes: dict[int, int] = {}
-        for c in self.assignment.values():
-            sizes[c] = sizes.get(c, 0) + 1
-        return tuple(sizes[c] for c in sorted(sizes))
-
 
 @dataclass(frozen=True)
 class Verdict:

@@ -26,7 +26,7 @@ All construction operations relabel their output onto integer vertex ids
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations, product
 from math import comb, factorial
 from typing import Any, Callable, Sequence
@@ -167,9 +167,18 @@ def _complete_size(n: int, r: int) -> _Size:
 _HALF_LN_2PI = Decimal("0.918938533204672741780329736405617639861397473637783")
 
 
+def _leading(x: int) -> Decimal:
+    """``x`` in the current context from its leading 200 bits (about 60
+    digits), with the dropped bits carried as a power of two, so that a huge
+    ``x`` is never converted in full."""
+    shift = max(0, x.bit_length() - 200)
+    return Decimal(x >> shift) * Decimal(2) ** shift
+
+
 def _log10_comb(n: int, r: int) -> Decimal:
     """log10 C(n, r) in 50-digit decimal arithmetic whatever the operands'
-    size: no operand passes through a float (r near 10^400 overflows one).
+    size: no operand passes through a float (r near 10^400 overflows one),
+    and none is converted in full (see :func:`_leading`).
 
     ln(n! / (n-k)!) is Stirling's series up to 1/(12 m), with -ln(1 - k/n)
     summed as sum_j (k/n)^j / j, since ln n - ln(n-k) would cancel all of n's
@@ -178,8 +187,8 @@ def _log10_comb(n: int, r: int) -> Decimal:
     1/(360 (n-k)^3) plus rounding in the 45th digit.
     """
     k = min(r, n - r)
-    with localcontext(Context(prec=50)):
-        dn, dk = +Decimal(n), +Decimal(k)
+    with localcontext(Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        dn, dk = _leading(n), _leading(k)
         x = dk / dn  # at most 1/2
         neg_log1p, power, j = Decimal(0), x, 1
         while neg_log1p + power / j != neg_log1p:
@@ -551,6 +560,9 @@ def _pr_recursion(r: int, g: int, ops: _Sizes) -> Any:
 def _sweep(
     ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: TraceNode | None
 ) -> Any:
+    """Amalgamate ``start`` along parts 0..a-1 in turn, with the
+    ``size``-uniform ``base_for_part(j, size)`` at step j: the inner loop of
+    the rm-unavoidable recursion."""
     current = start
     for j in range(len(start.part_sizes())):
         size = current.part_sizes()[j]
@@ -645,20 +657,6 @@ def build_part_rainbow_forced(
     pr = _pr_recursion(r, g, _Build(limits))
     _verify(pr, r, g)
     return pr
-
-
-def amalgamation_sweep(
-    start: PartiteHypergraph,
-    base_for_part: Callable[[int, int], Hypergraph],
-    trace: TraceNode | None = None,
-) -> PartiteHypergraph:
-    """Amalgamate ``start`` along parts 0..a-1 in turn.
-
-    ``base_for_part(j, size)`` supplies the hypergraph used at step j, which
-    must be ``size``-uniform.  This is the inner loop of the rm-unavoidable
-    recursion, exposed so it can be exercised with stand-in bases.
-    """
-    return _sweep(_Build(), start, base_for_part, trace)
 
 
 def build_rm_unavoidable(

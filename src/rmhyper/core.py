@@ -9,12 +9,12 @@ runs.
 
 A :class:`Hypergraph` stores each edge once, as the sorted tuple of its
 vertex positions; the frozensets of vertex ids and the degrees are built
-from the tuples on first use.  The public constructor validates its input.  Derived hypergraphs
-(``without_edges``, ``induced``) keep a subset of valid, sorted tuples and
-skip the validation, and ``without_edges`` shares the vertex index with its
-parent.  Values are immutable after construction, and a lazily built cache
-holds the same tuple whichever thread builds it, so values are safe to share
-between concurrent workers without synchronisation.
+from the tuples on first use.  The public constructor validates its input.
+``without_edges`` keeps a subset of valid, sorted tuples, skips the
+validation and shares the vertex index with its parent.  Values are
+immutable after construction, and a lazily built cache holds the same tuple
+whichever thread builds it, so values are safe to share between concurrent
+workers without synchronisation.
 """
 from __future__ import annotations
 
@@ -50,11 +50,10 @@ class Hypergraph:
     (:meth:`edge_index_tuples`), and the edges are kept sorted by these
     tuples, so equal values produce identical serialisations.  The
     frozensets of vertex ids in :attr:`edges`, and the degrees, are built
-    from the tuples on first use and cached.  :meth:`without_edges` and
-    :meth:`induced` keep a subset of already valid, already sorted tuples
-    (renumbered in increasing order for ``induced``), so they build their
-    result without validating it again; ``without_edges`` shares the vertex
-    tuple and index with its parent.
+    from the tuples on first use and cached.  :meth:`without_edges` keeps a
+    subset of already valid, already sorted tuples, so it builds its result
+    without validating it again and shares the vertex tuple and index with
+    its parent.
     """
 
     __slots__ = ("_vertices", "_vindex", "_edges", "_edge_indices", "_degrees")
@@ -80,17 +79,6 @@ class Hypergraph:
                 raise HypergraphError(f"duplicate edge {{{', '.join(map(repr, key))}}}")
             keys.add(key)
         self._adopt(vs, vindex, tuple(sorted(keys)))
-
-    @classmethod
-    def _unchecked(
-        cls, vertices: tuple[VertexId, ...], vindex: dict[VertexId, int], keys: _Keys
-    ) -> "Hypergraph":
-        """A hypergraph from parts that already meet every invariant: sorted,
-        distinct position tuples of at least 2 positions each, in sorted
-        order."""
-        h = cls.__new__(cls)
-        h._adopt(vertices, vindex, keys)
-        return h
 
     def _adopt(
         self, vertices: tuple[VertexId, ...], vindex: dict[VertexId, int], keys: _Keys
@@ -175,22 +163,6 @@ class Hypergraph:
 
     # -- derived hypergraphs ---------------------------------------------
 
-    def induced(self, keep: Iterable[VertexId]) -> "Hypergraph":
-        """Subhypergraph on ``keep``: drops every edge not fully inside it."""
-        keep_set = set(keep)
-        for v in keep_set:
-            if v not in self._vindex:
-                raise HypergraphError(f"unknown vertex {v!r}")
-        kept = [i for i, v in enumerate(self._vertices) if v in keep_set]
-        renumber = {old: new for new, old in enumerate(kept)}
-        vs = tuple(self._vertices[i] for i in kept)
-        keys = tuple(
-            tuple(renumber[i] for i in key)
-            for key in self._edge_indices
-            if all(i in renumber for i in key)
-        )
-        return Hypergraph._unchecked(vs, {v: i for i, v in enumerate(vs)}, keys)
-
     def without_edges(self, drop: Iterable[Iterable[VertexId]]) -> "Hypergraph":
         """Copy with the given edges removed; vertices are kept.  Entries
         that are not edges are ignored."""
@@ -198,8 +170,9 @@ class Hypergraph:
         for pos in map(self.edge_position, drop):
             if pos is not None:
                 keep[pos] = False
-        keys = tuple(compress(self._edge_indices, keep))
-        return Hypergraph._unchecked(self._vertices, self._vindex, keys)
+        h = Hypergraph.__new__(Hypergraph)  # a subset of valid tuples stays valid
+        h._adopt(self._vertices, self._vindex, tuple(compress(self._edge_indices, keep)))
+        return h
 
     # -- value semantics ---------------------------------------------------
 
@@ -227,7 +200,7 @@ class PartiteHypergraph(Hypergraph):
 
     Part members are stored in canonical (base) vertex order.  A partite
     value equals only a partite value with the same base and parts;
-    :meth:`without_edges` and :meth:`induced` return plain hypergraphs.
+    :meth:`without_edges` returns a plain hypergraph.
     """
 
     __slots__ = ("_base", "_parts")

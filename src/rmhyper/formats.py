@@ -121,6 +121,8 @@ def _decode(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _meta_of(doc: Any) -> dict[str, Any]:
@@ -136,11 +138,6 @@ def _loads_with_meta(text: str) -> tuple[Hypergraph, dict[str, Any]]:
 
 def loads(text: str) -> Hypergraph:
     return from_json_dict(_decode(text))
-
-
-def load_path(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fp:
-        return loads(fp.read())
 
 
 def load_meta(text: str) -> dict[str, Any]:

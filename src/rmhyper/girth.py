@@ -1,4 +1,4 @@
-"""Berge girth, cycle witnesses and exact short-cycle counting.
+"""Berge girth and cycle witnesses.
 
 A cycle of length g consists of g distinct edges E_0..E_{g-1} and g distinct
 vertices x_0..x_{g-1} with x_i in E_i and in E_{i+1} (indices mod g).  Girth
@@ -19,17 +19,9 @@ g <= 2 holds without a scan, and any other g costs one scan with cap g - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb
 from typing import Sequence
 
-from .core import Hypergraph, HypergraphError, VertexId, complete_hypergraph
-
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Exhaustive cycle enumeration exceeded its candidate budget."""
+from .core import Hypergraph, HypergraphError, VertexId
 
 
 @dataclass(frozen=True)
@@ -263,102 +255,3 @@ def girth_at_least(h: Hypergraph, g: int) -> bool:
     no scan; otherwise one :func:`girth` scan with cap g - 1 decides it."""
     return g <= 2 or girth(h, cap=g - 1).girth.guarantees_at_least(g)
 
-
-def _connector_sets(
-    inter: list[frozenset[int]], budget_state: list[int], budget: int
-) -> set[frozenset[int]]:
-    """All sets of distinct connectors realisable for one cyclic edge order.
-
-    ``inter[i]`` holds the candidates for position i (the intersection of
-    consecutive edges).  Returns the distinct frozensets of connectors for
-    which a valid assignment exists.
-    """
-    ell = len(inter)
-    out: set[frozenset[int]] = set()
-    chosen: list[int] = []
-    in_use: set[int] = set()
-
-    def backtrack(i: int) -> None:
-        if i == ell:
-            out.add(frozenset(chosen))
-            return
-        for x in inter[i]:
-            if x in in_use:
-                continue
-            budget_state[0] += 1
-            if budget_state[0] > budget:
-                raise EnumerationBudgetError(
-                    f"cycle enumeration exceeded {budget} candidate tuples"
-                )
-            in_use.add(x)
-            chosen.append(x)
-            backtrack(i + 1)
-            chosen.pop()
-            in_use.remove(x)
-
-    backtrack(0)
-    return out
-
-
-def count_cycles(h: Hypergraph, ell: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
-    """Exact number of distinct ell-cycles by exhaustive enumeration.
-
-    Two cycles are identified iff they have the same cyclic sequence of edges
-    (up to rotation and reflection) and the same set of connector vertices.
-    Intended for desk-scale instances; raises EnumerationBudgetError past the
-    candidate budget.
-    """
-    if ell < 2:
-        raise ValueError(f"cycle length must be >= 2, got {ell}")
-    keys = [frozenset(t) for t in h.edge_index_tuples()]
-    m = len(keys)
-    if ell > m:
-        return 0
-    r = h.uniformity()
-    support_bound = (r - 1) * ell if r is not None else None
-
-    budget_state = [0]
-    count = 0
-    for combo in combinations(range(m), ell):
-        if ell == 2:
-            arrangements: list[tuple[int, ...]] = [combo]
-        else:
-            # Cyclic sequences up to rotation/reflection: pin the smallest
-            # edge first and orient so the second entry is below the last.
-            first, rest = combo[0], combo[1:]
-            arrangements = [
-                (first,) + perm for perm in permutations(rest) if perm[0] < perm[-1]
-            ]
-        for arr in arrangements:
-            budget_state[0] += 1
-            if budget_state[0] > budget:
-                raise EnumerationBudgetError(
-                    f"cycle enumeration exceeded {budget} candidate tuples"
-                )
-            inter = [keys[arr[i]] & keys[arr[(i + 1) % ell]] for i in range(ell)]
-            if any(not s for s in inter):
-                continue
-            sets = _connector_sets(inter, budget_state, budget)
-            if sets and support_bound is not None:
-                support = frozenset().union(*(keys[e] for e in arr))
-                if len(support) > support_bound:
-                    raise AssertionError(
-                        f"{ell}-cycle spans {len(support)} vertices, above the "
-                        f"(r-1)*ell = {support_bound} bound"
-                    )
-            count += len(sets)
-    return count
-
-
-def cycle_count_bound_check(
-    r: int, ell: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> bool:
-    """Check count(K_n^(r), ell) <= c * C(n, (r-1)*ell) by exact counting.
-
-    The constant c is the exact ell-cycle count on a fixed vertex set of size
-    (r-1)*ell, computed by the same exhaustive enumeration.
-    """
-    support = (r - 1) * ell
-    exact = count_cycles(complete_hypergraph(n, r), ell, budget)
-    c = count_cycles(complete_hypergraph(support, r), ell, budget) if support >= r else 0
-    return exact <= c * comb(n, support)

@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
-from math import ceil, comb, exp, floor, log, log1p
+from math import ceil, comb, floor, log, log1p, log2, log10
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
-from .construct import BuildLimits, SizeEstimate, SizeLimitError
+from .construct import SIZE_CAP, BuildLimits, SizeEstimate, SizeLimitError
 from .core import Hypergraph, HypergraphError, comb_at_most, validate_uniformity
 from .girth import girth, girth_at_least
 
@@ -45,28 +45,35 @@ def ceil_power(n: int, num: int, den: int) -> int:
     so n < n**(num/den) < n + 1.  This keeps huge girth targets from raising
     n to a power with as many digits as den.
 
-    Otherwise a float estimate brackets the root within one or two units, and
-    two exact checks confirm the bracket before the binary search; where the
-    float overflows or misses, the search starts from [1, n**ceil(num/den)].
+    Otherwise, for a root below 2^36, a float estimate brackets it within one
+    or two units, and two exact checks confirm the bracket before a binary
+    search over it.  For a larger root, or where the bracket misses, integer
+    Newton steps from a seed taken from log2 of the root give its floor.
     """
     if num == den + 1 and n >= 2 and den >= (n + 1) * n.bit_length():
         return n + 1
     target = n**num
-    lo, hi = 1, max(2, n ** -(-num // den))
-    try:
-        est = exp(num / den * log(n))  # relative error below 1e-12 up to 1e308
-        near_lo, near_hi = max(1, floor(est * (1 - 2**-36))), ceil(est * (1 + 2**-36))
-        if near_hi**den >= target and (near_lo == 1 or near_lo**den < target):
-            lo, hi = (1 if near_lo == 1 else near_lo + 1), near_hi
-    except OverflowError:
-        pass
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**den >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    bits = num / den * log2(n)  # log2 of the root
+    if bits < 36:
+        est = 2**bits  # relative error below 1e-14
+        lo, hi = max(1, floor(est * (1 - 2**-36))), ceil(est * (1 + 2**-36))
+        if hi**den >= target and (lo == 1 or lo**den < target):
+            lo = lo if lo == 1 else lo + 1  # lo**den < target
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if mid**den >= target:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+    shift = max(0, floor(bits) - 60)
+    x = max(1, int(2 ** (bits - shift))) << shift
+    # one step from any x >= 1 lands on or above the floor of the root;
+    # from there the steps decrease until they reach it
+    x = ((den - 1) * x + target // x ** (den - 1)) // den
+    while (step := ((den - 1) * x + target // x ** (den - 1)) // den) < x:
+        x = step
+    return x if x**den >= target else x + 1
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,12 @@ def random_high_girth(
     m = comb_at_most(n, uniformity, 2 * target)
     limit = BuildLimits().max_edges
     if m > limit:
+        if m > SIZE_CAP:  # a digit count: m may have more digits than str() prints
+            size, estimate = f"~10^{log10(m):.0f}", SizeEstimate(None, None, astronomical=True)
+        else:
+            size, estimate = str(m), SizeEstimate(n, m, astronomical=False)
         raise SizeLimitError(
-            f"a carrier sample of {m} edges exceeds the limit of {limit} edges",
-            SizeEstimate(n, m, astronomical=False),
+            f"a carrier sample of {size} edges exceeds the limit of {limit} edges", estimate
         )
 
     best: CarrierSample | None = None

@@ -91,16 +91,24 @@ def _canonical_cycle_key(arr: tuple[int, ...], connectors: tuple) -> tuple:
 
 def count_cycles_bruteforce(h: Hypergraph, ell: int) -> int:
     """Distinct ell-cycles by enumerating every edge order and deduplicating
-    (cyclic edge sequence up to rotation/reflection, connector set)."""
+    (cyclic edge sequence up to rotation/reflection, connector set).
+
+    On an r-uniform ``h`` it also asserts that every cycle spans at most
+    (r-1)*ell vertices, the support bound of the paper's cycle-count lemma."""
     keys = [frozenset(t) for t in h.edge_index_tuples()]
     m = len(keys)
+    r = h.uniformity()
     seen: set[tuple] = set()
     for combo in combinations(range(m), ell):
         for perm in permutations(combo):
             inter = [keys[perm[i]] & keys[perm[(i + 1) % ell]] for i in range(ell)]
             if any(not s for s in inter):
                 continue
-            for assignment in _connector_assignments(inter):
+            assignments = _connector_assignments(inter)
+            if assignments and r is not None:
+                support = len(frozenset().union(*(keys[e] for e in perm)))
+                assert support <= (r - 1) * ell, f"{ell}-cycle spans {support} vertices"
+            for assignment in assignments:
                 seen.add(_canonical_cycle_key(perm, assignment))
     return len(seen)
 

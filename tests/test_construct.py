@@ -20,7 +20,6 @@ from rmhyper.construct import (
     SupplierError,
     TraceNode,
     amalgamate,
-    amalgamation_sweep,
     attach_edge_markers,
     base_rainbow_path,
     build_part_rainbow_forced,
@@ -421,7 +420,7 @@ class TestBuildRmUnavoidable:
         assert est.astronomical and est.vertices is None
         assert est.note.startswith("complete base alone has ~10^2143429448190")
 
-    @pytest.mark.parametrize("d", [400, 4000])
+    @pytest.mark.parametrize("d", [400, 4000, 600_000])
     def test_complete_base_past_the_float_range_is_astronomical(self, d):
         # log10 C(n, r) at n = (r - 1)^2 + 1, r = 10^d is 10^d (d + log10 e)
         # less a few units; r passed through a float before and overflowed
@@ -430,6 +429,16 @@ class TestBuildRmUnavoidable:
         digits = est.note.removeprefix("complete base alone has ~10^").removesuffix(" edges")
         assert digits.startswith(f"{d}43429448190325182765")
         assert len(digits) == d + len(str(d))
+
+    def test_huge_operands_are_not_converted_in_full(self):
+        # r with 100,000 digits once went to Decimal whole, in about 1 s; at
+        # 600,000 digits n passed Decimal's default exponent range
+        r = 10**100_000
+        t0 = time.perf_counter()
+        est = estimate_h_size(r, 2)
+        assert time.perf_counter() - t0 < 0.1
+        assert est.astronomical
+        assert est.note.startswith("complete base alone has ~10^10000043429448190325182765")
 
     @pytest.mark.parametrize("n, r", [(60, 30), (122, 12), (10**6, 3), (10**14, 40), (5000, 2500)])
     def test_astronomical_note_counts_the_digits(self, n, r):
@@ -460,8 +469,8 @@ class TestAmalgamationSweep:
         factor, _ = complete_partite_factor(base_rainbow_path(), 3)
         assert factor.part_sizes() == (4, 3, 2)
         trace = TraceNode("sweep", {})
-        result = amalgamation_sweep(
-            factor, lambda j, size: complete_hypergraph(size + 1, size), trace
+        result = construct._sweep(
+            construct._Build(), factor, lambda j, size: complete_hypergraph(size + 1, size), trace
         )
         assert len(trace.children) == 3
         current_edges = factor.num_edges

@@ -81,16 +81,6 @@ class TestDegreeInducedUnion:
             for v in h.vertices:
                 assert h.degree(v) == sum(v in e for e in h.edges)
 
-    def test_induced_examples(self):
-        h = path_graph()
-        assert h.induced({"x", "y"}).edges == (frozenset({"x", "y"}),)
-        assert h.induced(set(h.vertices)) == h
-        assert h.induced({"x", "z"}).num_edges == 0
-
-    def test_induced_unknown_vertex(self):
-        with pytest.raises(HypergraphError):
-            path_graph().induced({"x", "w"})
-
     def test_disjoint_union_counts(self):
         h = path_graph()
         u, maps = disjoint_union([h, h])
@@ -116,9 +106,10 @@ class TestDegreeInducedUnion:
             h2 = random_hypergraph(rng)
             u, maps = disjoint_union([h1, h2])
             for h, m in ((h1, maps[0]), (h2, maps[1])):
-                back = u.induced(m.values())
-                assert back.num_vertices == h.num_vertices
-                assert {frozenset(m[v] for v in e) for e in h.edges} == set(back.edges)
+                block = set(m.values())
+                assert len(block) == h.num_vertices
+                induced = {e for e in u.edges if e <= block}
+                assert {frozenset(m[v] for v in e) for e in h.edges} == induced
 
 
 def _assert_same_value(derived, built):
@@ -132,8 +123,8 @@ def _assert_same_value(derived, built):
 
 
 class TestDerivedEqualsValidated:
-    """``without_edges`` and ``induced`` skip validation; their results must
-    be the values the validating constructor gives."""
+    """``without_edges`` skips validation; its results must be the values
+    the validating constructor gives."""
 
     def test_without_edges(self):
         rng = random.Random(1212)
@@ -143,22 +134,12 @@ class TestDerivedEqualsValidated:
             kept = [e for e in h.edges if e not in drop]
             _assert_same_value(h.without_edges(drop), Hypergraph(h.vertices, kept))
 
-    def test_induced(self):
-        rng = random.Random(1213)
-        for _ in range(300):
-            h = random_hypergraph(rng, max_vertices=9, max_edges=12)
-            keep = set(rng.sample(h.vertices, rng.randint(0, h.num_vertices)))
-            vs = [v for v in h.vertices if v in keep]
-            es = [e for e in h.edges if e <= keep]
-            _assert_same_value(h.induced(keep), Hypergraph(vs, es))
-
     def test_derived_of_derived(self):
         rng = random.Random(1214)
         for _ in range(100):
             h = random_hypergraph(rng, max_vertices=9, max_edges=12)
-            d = h.without_edges(h.edges[:1]).induced(h.vertices[1:]).without_edges(h.edges[-1:])
-            es = [e for e in h.edges[1:-1] if h.vertices[0] not in e]
-            _assert_same_value(d, Hypergraph(h.vertices[1:], es))
+            d = h.without_edges(h.edges[:1]).without_edges(h.edges[-1:])
+            _assert_same_value(d, Hypergraph(h.vertices, h.edges[1:-1]))
 
     def test_dropping_what_is_not_an_edge_is_a_no_op(self):
         h = Hypergraph(["x", "y", "z", "w"], [{"x", "y"}, {"y", "z", "w"}])
@@ -255,7 +236,6 @@ class TestPartiteIsAHypergraph:
         p = PartiteHypergraph(path_graph(), [("x", "z"), ("y",)])
         assert type(p.without_edges([])) is Hypergraph
         assert p.without_edges([]) == p.base
-        assert type(p.induced(["x", "y"])) is Hypergraph
 
 
 @st.composite

@@ -17,7 +17,6 @@ from rmhyper.formats import (
     FormatError,
     dumps,
     from_json_dict,
-    load_path,
     loads,
     to_dot,
 )
@@ -121,7 +120,7 @@ class TestCli:
         out = tmp_path / "h32.json"
         assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(out)]) == 0
         capsys.readouterr()
-        h = load_path(str(out))
+        h = loads(out.read_text())
         assert h == complete_hypergraph(5, 3)
         code = run(["solve", "good", str(out)])
         captured = capsys.readouterr()
@@ -157,7 +156,7 @@ class TestCli:
     def test_construct_pr_part_rainbow(self, tmp_path, capsys):
         out = tmp_path / "pr.json"
         assert run(["construct", "pr", "--r", "2", "--g", "4", "-o", str(out)]) == 0
-        loaded = load_path(str(out))
+        loaded = loads(out.read_text())
         assert isinstance(loaded, PartiteHypergraph)
         code = run(["solve", "part-rainbow", str(out)])
         report = json.loads(capsys.readouterr().out)
@@ -168,7 +167,7 @@ class TestCli:
         out = tmp_path / "pr.json"
         assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(out)]) == 0
         base = tmp_path / "base.json"
-        base.write_text(dumps(load_path(str(out)).base))
+        base.write_text(dumps(loads(out.read_text()).base))
         reports = []
         for f in (out, base):
             capsys.readouterr()
@@ -204,7 +203,7 @@ class TestCli:
         out = tmp_path / "pr42.json"
         assert run(["construct", "pr", "--r", "4", "--g", "2", "-o", str(out)]) == 0
         capsys.readouterr()
-        built = load_path(str(out))
+        built = loads(out.read_text())
         assert (built.num_vertices, built.num_edges) == (66_264, 39_732)
 
     def test_construct_factor(self, tmp_path, capsys):
@@ -213,7 +212,7 @@ class TestCli:
         out = tmp_path / "factor.json"
         assert run(["construct", "factor", "--input", str(pr), "--parts", "3", "-o", str(out)]) == 0
         capsys.readouterr()
-        factor = load_path(str(out))
+        factor = loads(out.read_text())
         assert factor.num_vertices == 9 and factor.num_edges == 6
 
     @pytest.mark.parametrize("parts", ["30", "1000000000"])
@@ -335,6 +334,22 @@ class TestCli:
         assert not out.exists()
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("kind", [["carrier", "--R", "5"], ["search", "--r", "3"]])
+    def test_random_with_a_huge_n_is_refused_at_once(self, tmp_path, capsys, kind):
+        # the sample size has about 4400 digits: its root took seconds of
+        # bisection, and the refusal printed it in full, past str()'s limit
+        out = tmp_path / "x.json"
+        argv = ["random", *kind, "--n", "1" + "0" * 3300, "--g", "3", "-o", str(out)]
+        t0 = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert captured.err.startswith("refused: a carrier sample of ~10^4400 edges")
+        assert captured.err.rstrip().endswith("[estimate: astronomical]")
+        assert not out.exists()
+        assert elapsed < 1.0
+
     def test_random_carrier_with_a_huge_girth_target(self, tmp_path, capsys):
         # n^(g+1) alone would have about a billion digits; the target is n + 1
         out = tmp_path / "x.json"
@@ -406,11 +421,20 @@ class TestCli:
     def test_bad_input_exit_codes(self, tmp_path, capsys):
         missing = run(["girth", str(tmp_path / "nope.json")])
         assert missing == 3
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["girth", str(bad)]) == 3
-        assert run(["solve", "part-rainbow", str(bad)]) == 3
         capsys.readouterr()
+        bad, deep = tmp_path / "bad.json", tmp_path / "deep.json"
+        bad.write_text("{not json")
+        deep.write_text("[" * 50_000 + "]" * 50_000)  # deeper than the parser recurses
+        readers = [
+            ["girth"], ["solve", "good"], ["solve", "part-rainbow"],
+            ["convert", "--json"], ["convert", "--dot"], ["construct", "factor", "--parts", "3", "--input"],
+        ]
+        for f in (bad, deep):
+            for argv in readers:
+                assert run(argv + [str(f)]) == 3, (f.name, argv)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(f"error: {f}: invalid JSON"), captured.err
 
     @pytest.mark.parametrize("argv", [["solve", "good", "{}"], ["convert", "{}", "--dot"]])
     def test_colliding_vertex_ids_are_bad_input(self, tmp_path, capsys, argv):
@@ -469,7 +493,7 @@ class TestCli:
         monkeypatch.setenv("RMHYPER_OUTPUT_DIR", str(tmp_path))
         assert run(["construct", "h", "--r", "3", "--g", "2", "-o", "via-env.json"]) == 0
         capsys.readouterr()
-        assert load_path(str(tmp_path / "via-env.json")) == complete_hypergraph(5, 3)
+        assert loads((tmp_path / "via-env.json").read_text()) == complete_hypergraph(5, 3)
         # absolute paths ignore the env var
         target = tmp_path / "abs.json"
         assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(target)]) == 0

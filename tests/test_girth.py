@@ -1,24 +1,21 @@
 import hashlib
 import importlib
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from rmhyper.construct import build_part_rainbow_forced, supply_min_degree_girth
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
-from rmhyper.girth import (
-    EnumerationBudgetError,
-    count_cycles,
-    cycle_count_bound_check,
-    girth,
-    girth_at_least,
-)
+from rmhyper.girth import girth, girth_at_least
 from rmhyper.randgen import random_high_girth, random_search_unavoidable
 
 from oracles import (
     berge_girth_bruteforce,
     count_cycles_bruteforce,
     count_overlapping_pairs,
+    random_graph,
     random_hypergraph,
 )
 
@@ -223,47 +220,52 @@ def test_pinned_carrier_deletions():
 
 
 class TestCountCycles:
+    """The brute-force cycle counter that acceptance criterion 8 runs on."""
+
     def test_triangle_has_one_three_cycle(self):
-        assert count_cycles(cycle_graph(3), 3) == 1
+        assert count_cycles_bruteforce(cycle_graph(3), 3) == 1
 
     def test_graphs_have_no_two_cycles(self):
         h = Hypergraph(["x", "y", "z"], [{"x", "y"}, {"y", "z"}])
-        assert count_cycles(h, 2) == 0
+        assert count_cycles_bruteforce(h, 2) == 0
 
     def test_complete_three_uniform_on_five_two_cycles(self):
         h = complete_hypergraph(5, 3)
-        assert count_cycles(h, 2) == 30
+        assert count_cycles_bruteforce(h, 2) == 30
         assert count_overlapping_pairs(h) == 30  # shared-pair oracle agrees
 
-    def test_matches_bruteforce_on_corpus(self):
+    def test_closed_forms_on_corpus(self):
+        # a 2-cycle is two edges with two of their common vertices, and a
+        # 3-cycle of a graph is a triangle
         rng = random.Random(4242)
         for _ in range(40):
             h = random_hypergraph(rng, max_vertices=6, max_edges=5)
-            for ell in (2, 3, 4):
-                assert count_cycles(h, ell) == count_cycles_bruteforce(h, ell)
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            count_cycles(cycle_graph(3), 1)
-
-    def test_budget_exceeded(self):
-        h = complete_hypergraph(9, 2)
-        with pytest.raises(EnumerationBudgetError):
-            count_cycles(h, 7, budget=2000)
+            pairs = sum(comb(len(a & b), 2) for a, b in combinations(h.edges, 2))
+            assert count_cycles_bruteforce(h, 2) == pairs
+            graph = random_graph(rng, max_vertices=6)
+            edges = set(graph.edges)
+            triangles = sum(
+                all(frozenset(p) in edges for p in combinations(t, 2))
+                for t in combinations(graph.vertices, 3)
+            )
+            assert count_cycles_bruteforce(graph, 3) == triangles
 
     def test_support_bound_holds_while_counting(self):
-        # counting asserts the (r-1)*ell support bound on every cycle found
-        assert count_cycles(complete_hypergraph(6, 3), 3) == count_cycles_bruteforce(
-            complete_hypergraph(6, 3), 3
-        )
+        # the count asserts the (r-1)*ell support bound on every cycle found.
+        # By hand: 20 connector triples; each of the three connector pairs
+        # takes one of 4 third vertices, and at most one edge may be the
+        # triple itself: 4^3 - 10 choices
+        assert count_cycles_bruteforce(complete_hypergraph(6, 3), 3) == 20 * (4**3 - 10)
 
 
 class TestCycleCountBound:
     @pytest.mark.parametrize("r,ell,n", [(2, 3, 5), (3, 2, 5), (3, 2, 4)])
     def test_bound_holds(self, r, ell, n):
-        assert cycle_count_bound_check(r, ell, n)
+        support = (r - 1) * ell
+        c = count_cycles_bruteforce(complete_hypergraph(support, r), ell)
+        assert count_cycles_bruteforce(complete_hypergraph(n, r), ell) <= c * comb(n, support)
 
     def test_triangle_constant_is_exact(self):
-        # on (r-1)*ell = 3 vertices there is exactly one triangle
-        assert count_cycles(complete_hypergraph(3, 2), 3) == 1
-        assert count_cycles(complete_hypergraph(4, 3), 2) == 6
+        # the constants c: one triangle on 3 vertices, six 2-cycles of K_4^(3)
+        assert count_cycles_bruteforce(complete_hypergraph(3, 2), 3) == 1
+        assert count_cycles_bruteforce(complete_hypergraph(4, 3), 2) == 6

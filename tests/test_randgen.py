@@ -72,9 +72,28 @@ class TestCeilPower:
                     assert ceil_power(n, num, den) == ceil_power_reference(n, num, den), (
                         n, num, den,
                     )
-        # past 1e308 the float overflows and the full search runs
+        # roots past 2^36 take Newton steps
         assert ceil_power(10**200, 2, 1) == 10**400
         assert ceil_power(10**200, 3, 2) == ceil_power_reference(10**200, 3, 2) == 10**300
+
+    def test_newton_root_matches_the_full_search(self):
+        # roots from 10^40 to past 1e308, half of them exact powers
+        rng = random.Random(2208)
+        for i in range(40):
+            den = rng.randint(1, 6)
+            num = rng.randint(den, 3 * den)
+            if i % 2:
+                n = rng.randint(2, 10 ** rng.randint(40, 200))
+            else:
+                n = rng.randint(2, 10**40) ** den
+            assert ceil_power(n, num, den) == ceil_power_reference(n, num, den), (n, num, den)
+        # a bisection over 13,000 bits took 3 s; one over a float bracket 2^32
+        # units wide raised a 660,000-bit power 32 times, in 0.9 s
+        for n, den in ((10**2000, 3), (10**20, 10_000)):
+            t0 = time.perf_counter()
+            c = ceil_power(n, den + 1, den)
+            assert time.perf_counter() - t0 < 0.5
+            assert (c - 1) ** den < n ** (den + 1) <= c**den
 
     def test_below_the_cutoff_without_a_wide_search(self):
         # the full search raises a 1.7-million-bit power about 35 times here
