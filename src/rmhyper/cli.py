@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from math import comb
 from typing import Any, Callable, Sequence, TypeVar
 
 from . import __version__
@@ -37,13 +36,11 @@ from .coloring import (
 from .core import Hypergraph, PartiteHypergraph
 from .construct import (
     BuildLimits,
-    SizeEstimate,
     SizeLimitError,
     SupplierError,
-    _refuse_beyond,
+    build_factor,
     build_part_rainbow_forced,
     build_rm_unavoidable,
-    complete_partite_factor,
 )
 from .formats import FormatError, _loads_with_meta, dumps, loads, to_dot
 from .girth import girth
@@ -142,12 +139,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if not isinstance(loaded, PartiteHypergraph):
             raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
         meta.update({"parts": args.parts, "input": args.input})
-        # the totals of C(a, r) copies, without the per-part sums that cost O(a)
-        copies = comb(args.parts, loaded.num_parts) if args.parts >= loaded.num_parts else 0
-        predicted = SizeEstimate(copies * loaded.num_vertices, copies * loaded.num_edges, False)
-        _refuse_beyond(predicted, f"complete partite factor with {args.parts} parts", limits)
-        factor, _ = complete_partite_factor(loaded, args.parts)
-        _emit(factor, meta, args.output)
+        _emit(build_factor(loaded, args.parts, limits), meta, args.output)
     return EXIT_WITNESS
 
 
@@ -327,7 +319,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         code, message = exc.code, f"error: {exc}"
     except SizeLimitError as exc:
         est = exc.estimate
-        size = "astronomical" if est.astronomical else f"{est.vertices} vertices / {est.edges} edges"
+        size = f"{est.vertices} vertices" + ("" if est.edges is None else f" / {est.edges} edges")
+        size = "astronomical" if est.astronomical else size
         code, message = EXIT_LIMIT, f"refused: {exc} [estimate: {size}]"
     except SupplierError as exc:
         code, message = EXIT_LIMIT, f"error: {exc}"

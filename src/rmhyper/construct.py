@@ -13,9 +13,11 @@ before any work, so every build is deterministic and every estimate exact.
 Each recursion is written once, as steps that pair a block's cardinality
 identity with its builder, and evaluated two ways: over sizes (exact integers,
 or an astronomical marker past ``SIZE_CAP``) for the estimates, and over
-hypergraphs for the builders.  Builders are estimate-first: both refuse
-before they materialise anything when the estimate exceeds the hard limits,
-and check each step's predicted size against the limits before taking it.
+hypergraphs for the builders.  The builders and :func:`build_factor` are
+estimate-first: each refuses once, before it materialises anything, when its
+estimate exceeds the hard limits.  No step can pass them after that, as no
+block's output is smaller than its inputs: an amalgam has f.m (h.n - s) +
+f.n >= h.n vertices, a factor C(a, r) >= 1 copies; markers add vertices.
 Blocks and builders re-verify their structural postconditions so corrupted
 inputs fail fast; the supplier and both builders check girth with
 :func:`~rmhyper.girth.girth_at_least`, on outputs of every size.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import Any, Callable, Sequence
 
 from .core import (
@@ -86,8 +88,7 @@ class _Astronomical(SizeLimitError):
 
 
 class SupplierError(RuntimeError):
-    """No supplier in the table serves the inputs, or the one that does
-    exceeds the limits."""
+    """No supplier in the table serves the inputs within the limits."""
 
 
 @dataclass
@@ -221,7 +222,8 @@ def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]
     p^(n-1) points and as many lines: K_{q,q} (n = 2), the plane PG(2, p)
     (n = 3) and the symplectic quadrangle W(p) (n = 4), the last two over the
     prime field F_p.  Each is q-regular and meets the Moore bound for its own
-    girth: no graph of that girth and degree is smaller.
+    girth: no graph of that girth and degree is smaller, so a row past
+    SIZE_CAP is astronomical, and trial division decides only p below 10^5.
 
     ell = 2, q <= 2, for inputs the rows above do not serve: the cycle C_g.
     """
@@ -236,13 +238,10 @@ def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]
         return _complete_size(lo, ell), lambda: complete_hypergraph(lo, ell)
     if ell == 2 and g <= 8:
         n, p = (g + 1) // 2, q - 1
-        if n > 2 and p >= _PRIME_TEST_LIMIT:
-            raise SupplierError(
-                f"no supplier for ell={ell}, g={g}, q={q}: whether q - 1 is prime is "
-                f"decided only below {_PRIME_TEST_LIMIT}"
-            )
-        if n == 2 or _is_prime(p):
-            points = sum(p**i for i in range(n))
+        points = sum(p**i for i in range(n))
+        if q * points > SIZE_CAP:  # only for q >= 2, where edges >= vertices
+            raise _Astronomical(f"the girth-{2 * n} row has over {SIZE_CAP:.0e} edges")
+        if n == 2 or (p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))):
             return _Size(2 * points, q * points), lambda: _polygon_incidence_graph(n, p)
     if ell == 2 and q <= 2:
         return _Size(g, g), lambda: Hypergraph(range(g), [(i, (i + 1) % g) for i in range(g)])
@@ -250,35 +249,6 @@ def _supplier(ell: int, g: int, q: int) -> tuple[_Size, Callable[[], Hypergraph]
         f"no supplier for ell={ell}, g={g}, q={q}: the table serves g = 2 and, for "
         "graphs, g <= 4, g <= 8 with q - 1 prime, and any g with q <= 2"
     )
-
-
-# Miller-Rabin with the first 12 primes as bases is exact below this bound,
-# the least strong pseudoprime to all of them.
-_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_TEST_LIMIT = 318_665_857_834_031_151_167_461
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin test, exact for p < _PRIME_TEST_LIMIT."""
-    if p < 2:
-        return False
-    for a in _PRIME_TEST_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_TEST_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
@@ -468,10 +438,10 @@ def supply_min_degree_girth(
     hypergraph for g = 2 (K_{q+1} for graphs, also for g = 3), K_{q,q} for
     graphs with g = 4, the incidence graph of the plane PG(2, q-1) for g <= 6
     and of the quadrangle W(q-1) for g <= 8 when q - 1 is prime, and the
-    cycle C_g for graphs with q <= 2.  The output is deterministic, sized
-    exactly by the estimators, and re-verified before return: uniformity,
+    cycle C_g for graphs with q <= 2.  The output is deterministic and
+    re-verified before return: its size against the table's, then uniformity,
     minimum degree, and girth by :func:`~rmhyper.girth.girth_at_least`.
-    Inputs outside the table, and suppliers beyond the vertex or edge limit,
+    Inputs outside the table, and suppliers beyond the limits or ``SIZE_CAP``,
     raise :class:`SupplierError` before anything is built.
     """
     validate_uniformity(ell)
@@ -490,6 +460,8 @@ def supply_min_degree_girth(
             f"({limits.max_vertices} vertices / {limits.max_edges} edges)"
         )
     h = build()
+    if (h.num_vertices, h.num_edges) != (size.num_vertices, size.num_edges):
+        raise AssertionError("supplier output differs from its table size")
     if not h.is_uniform(ell) or min(h.degree(v) for v in h.vertices) < q:
         raise AssertionError("supplier output lost uniformity or minimum degree")
     if not girth_at_least(h, g):
@@ -517,13 +489,9 @@ class _Sizes:
 
 
 class _Build(_Sizes):
-    """Evaluates a recursion over hypergraphs, refusing each step whose
-    predicted size exceeds the limits (if any) before taking it."""
+    """Evaluates a recursion over hypergraphs; the final estimate bounds every step."""
 
     def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
-        if self.limits is not None:
-            predicted = SizeEstimate(size.num_vertices, size.num_edges, False)
-            _refuse_beyond(predicted, where, self.limits)
         return build()
 
 
@@ -657,6 +625,21 @@ def build_part_rainbow_forced(
     pr = _pr_recursion(r, g, _Build(limits))
     _verify(pr, r, g)
     return pr
+
+
+def build_factor(
+    p: PartiteHypergraph, a: int, limits: BuildLimits | None = None
+) -> PartiteHypergraph:
+    """:func:`complete_partite_factor` of ``p`` into ``a`` parts, estimate-first:
+    refuses with a SizeLimitError, before building anything, when its C(a, r)
+    copies exceed the limits.  A count past ``SIZE_CAP`` is astronomical."""
+    copies = comb_at_most(a, p.num_parts, SIZE_CAP + 1)
+    counts = (copies * p.num_vertices, copies * p.num_edges)
+    estimate = SizeEstimate(*counts, False)
+    if max(copies, *counts) > SIZE_CAP:
+        estimate = SizeEstimate(None, None, True, f"over {SIZE_CAP:.0e} copies, vertices or edges")
+    _refuse_beyond(estimate, f"complete partite factor with {a} parts", limits or BuildLimits())
+    return complete_partite_factor(p, a)[0]
 
 
 def build_rm_unavoidable(

@@ -181,24 +181,13 @@ def _path_to(parent: list[int], node: int) -> list[int]:
     return out
 
 
-def _extract_simple_cycle(walk: list[int]) -> list[int]:
-    """First repeated node in ``walk`` closes a simple cycle; return it."""
-    first_pos: dict[int, int] = {}
-    for i, node in enumerate(walk):
-        if node in first_pos:
-            return walk[first_pos[node] : i]
-        first_pos[node] = i
-    raise AssertionError("closed walk contains no repeat")
-
-
 def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> CycleWitness:
-    cycle = _extract_simple_cycle(walk)
-    assert len(cycle) == target, "extracted cycle is shorter than the scan minimum"
-    # Rotate so the cycle starts at a vertex node, then split alternating
-    # vertex / edge nodes.  With E_i := edge before x_i, x_i lies in E_i and
-    # E_{i+1}.
-    start = 0 if cycle[0] < n else 1
-    cycle = cycle[start:] + cycle[:start]
+    # The walk root -> u, w -> root is already a cycle: had the two tree paths
+    # met below the root, their lowest common node would close a shorter one.
+    # It starts at the root, a vertex node, so vertex and edge nodes alternate
+    # from there.  With E_i := edge before x_i, x_i lies in E_i and E_{i+1}.
+    cycle = walk[:-1]
+    assert len(set(cycle)) == len(cycle) == target, "closing walk is not a simple cycle"
     vertex_nodes = cycle[0::2]
     edge_nodes = cycle[1::2]
     vs, keys = h.vertices, h.edge_index_tuples()

@@ -88,6 +88,19 @@ class CarrierSample:
     edges_deleted: int
 
 
+def _refuse_count(what: str, count: int, unit: str, limit: int, estimate: SizeEstimate) -> None:
+    """Raise SizeLimitError if ``count`` exceeds ``limit``.  Past SIZE_CAP the
+    message gives a digit count, since ``count`` may have more digits than
+    str() prints, and the estimate is astronomical."""
+    if count <= limit:
+        return
+    if count > SIZE_CAP:
+        size, estimate = f"~10^{log10(count):.0f}", SizeEstimate(None, None, True)
+    else:
+        size = str(count)
+    raise SizeLimitError(f"{what} {size} {unit} exceeds the limit of {limit} {unit}", estimate)
+
+
 def random_high_girth(
     n: int,
     uniformity: int,
@@ -104,8 +117,9 @@ def random_high_girth(
     the surviving edge count misses the target ceil(n^(1+1/g)), fresh samples
     are drawn up to ``samples`` times and the best attempt is returned.  At
     desk scale the guarantee behind the target does not yet bind, so misses
-    are expected for small n.  A sample of more edges than the default
-    ``BuildLimits().max_edges`` raises SizeLimitError before any is drawn.
+    are expected for small n.  More vertices than the default
+    ``BuildLimits().max_vertices``, or a sample of more edges than its
+    ``max_edges``, raises SizeLimitError before any edge is drawn.
     """
     validate_uniformity(uniformity)
     if n < uniformity:
@@ -115,17 +129,11 @@ def random_high_girth(
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
+    limits = BuildLimits()
+    _refuse_count("a carrier on", n, "vertices", limits.max_vertices, SizeEstimate(n, None, False))
     target = ceil_power(n, g + 1, g)
     m = comb_at_most(n, uniformity, 2 * target)
-    limit = BuildLimits().max_edges
-    if m > limit:
-        if m > SIZE_CAP:  # a digit count: m may have more digits than str() prints
-            size, estimate = f"~10^{log10(m):.0f}", SizeEstimate(None, None, astronomical=True)
-        else:
-            size, estimate = str(m), SizeEstimate(n, m, astronomical=False)
-        raise SizeLimitError(
-            f"a carrier sample of {size} edges exceeds the limit of {limit} edges", estimate
-        )
+    _refuse_count("a carrier sample of", m, "edges", limits.max_edges, SizeEstimate(n, m, False))
 
     best: CarrierSample | None = None
     population = range(n)

@@ -247,34 +247,54 @@ class TestSupplier:
                 supply_min_degree_girth(ell, g, q)
 
     def test_primality_matches_trial_division(self):
-        for p in range(10**5):
-            expected = p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-            assert construct._is_prime(p) == expected, p
-        # 2^61 - 1 is prime; 2^67 - 1 and the least strong pseudoprime to
-        # the bases 2..23 are not
-        assert construct._is_prime(2**61 - 1)
-        assert not construct._is_prime(2**67 - 1)
-        assert not construct._is_prime(3_825_123_056_546_413_051)
+        # the plane (g = 5) and the quadrangle (g = 7) serve exactly the q with
+        # q - 1 prime, up to the largest p whose row fits under SIZE_CAP; past
+        # it every q is astronomical, prime or not
+        def row(g, q):
+            try:
+                size, _ = construct._supplier(2, g, q)
+            except SizeLimitError as exc:
+                assert "over 1e+15 edges" in str(exc)
+                return "astronomical"
+            except SupplierError as exc:
+                assert "no supplier" in str(exc)
+                return "none"
+            return size
+
+        for g, n in [(5, 3), (7, 4)]:
+            edges = lambda p: (p + 1) * sum(p**i for i in range(n))
+            p_max = 1000  # its plane and quadrangle have at most 10^12 edges
+            while edges(p_max + 1) <= construct.SIZE_CAP:
+                p_max += 1
+            sieve = bytearray([0, 0]) + bytearray([1]) * (p_max + 199)
+            for d in range(2, isqrt(len(sieve)) + 1):
+                sieve[d * d :: d] = bytearray(len(sieve[d * d :: d]))
+            assert any(sieve[p_max + 1 :])
+            for p in range(2, len(sieve)):
+                if p > p_max:
+                    expected = "astronomical"
+                else:
+                    built = construct._Size(2 * edges(p) // (p + 1), edges(p))
+                    expected = built if sieve[p] else "none"
+                assert row(g, p + 1) == expected, (g, p)
 
     def test_plane_over_a_huge_prime_is_refused_at_once(self, monkeypatch):
+        # 2^61 - 1 is prime, but its plane is past SIZE_CAP: no primality test runs
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
         start = time.perf_counter()
-        with pytest.raises(SupplierError, match="exceeds the limits"):
+        with pytest.raises(SupplierError, match="over 1e\\+15 edges"):
             supply_min_degree_girth(2, 5, 2**61)
         assert time.perf_counter() - start < 1
 
     def test_primality_beyond_the_exact_range_is_refused(self, monkeypatch):
-        # the bound is the least strong pseudoprime to the 12 bases, which
-        # the test would call prime
-        limit = construct._PRIME_TEST_LIMIT
-        assert limit == 399_165_290_221 * 798_330_580_441
-        assert construct._is_prime(limit)
+        # q - 1 is the least strong pseudoprime to the first 12 prime bases,
+        # which a Miller-Rabin test on them would call prime; every row past
+        # SIZE_CAP is refused as astronomical, K_{q,q} (no prime needed) too
+        q = 399_165_290_221 * 798_330_580_441 + 1
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
-        for g in (5, 8):
-            with pytest.raises(SupplierError, match="decided only below"):
-                supply_min_degree_girth(2, g, limit + 1)
-        with pytest.raises(SupplierError, match="exceeds the limits"):
-            supply_min_degree_girth(2, 4, limit + 1)  # K_{q,q} needs no prime
+        for g in (4, 5, 8):
+            with pytest.raises(SupplierError, match="over 1e\\+15 edges"):
+                supply_min_degree_girth(2, g, q)
 
     @pytest.mark.parametrize("g", [5, 9])
     def test_cycle_route(self, g):
@@ -333,17 +353,15 @@ class TestBuildPartRainbowForced:
             build_part_rainbow_forced(5, 2)
 
     def test_step_beyond_limits_is_refused_before_it_is_built(self, monkeypatch):
-        # pr(3, 4) is estimated at 120 vertices from its K_{6,6} supplier; a
-        # larger stand-in supplier pushes the amalgamation step past the
-        # limits, which the step must notice before amalgamating
-        supply = lambda *args: complete_hypergraph(10, 2)  # min degree 9 >= q = 6
-        monkeypatch.setattr(construct, "supply_min_degree_girth", supply)
+        # the builders check no step against the limits, so a supplier row
+        # whose build differs from its table size must fail before any
+        # amalgamation uses it: K_10 in place of pr(3, 4)'s K_{6,6}
+        stand_in = lambda n, p: complete_hypergraph(10, 2)  # min degree 9 >= q = 6
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", stand_in)
         monkeypatch.setattr(construct, "amalgamate", _unreachable)
-        limits = BuildLimits(max_vertices=130, max_edges=100)
         assert estimate_pr_size(3, 4) == SizeEstimate(120, 72, False)
-        with pytest.raises(SizeLimitError) as err:
-            build_part_rainbow_forced(3, 4, limits)
-        assert (err.value.estimate.vertices, err.value.estimate.edges) == (145, 90)
+        with pytest.raises(AssertionError, match="supplier output differs from its table size"):
+            build_part_rainbow_forced(3, 4)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_three_uniform_builds_are_exact_and_seed_free(self, g):
@@ -565,6 +583,30 @@ def test_pinned_outputs(kind, r, g, estimate, digest, trace):
     assert (estimate.vertices, estimate.edges) == (built.num_vertices, built.num_edges)
 
 
+class _RecordedSizes(construct._Sizes):
+    def __init__(self):
+        super().__init__()
+        self.steps = []
+
+    def step(self, size, where, build):
+        self.steps.append(size)
+        return super().step(size, where, build)
+
+
+@pytest.mark.parametrize(
+    "kind, r, g, estimate",
+    [(kind, r, g, est) for kind, r, g, est, digest, _ in PINNED if digest is not None],
+)
+def test_no_step_is_larger_than_the_final_estimate(kind, r, g, estimate):
+    # the builders refuse on the final estimate only, which must bound every step
+    sizes = _RecordedSizes()
+    recursion = construct._pr_recursion if kind == "pr" else construct._h_recursion
+    recursion(r, g, sizes)
+    for size in sizes.steps:
+        assert size.num_vertices <= estimate.vertices, (kind, r, g, size)
+        assert size.num_edges <= estimate.edges, (kind, r, g, size)
+
+
 def _served(ell, g, q):
     """The rows of the supplier table, restated."""
     p = q - 1
@@ -598,9 +640,11 @@ def test_supplier_of_an_astronomical_size_is_refused(monkeypatch):
 
 
 def test_supplier_postcondition_fires(monkeypatch):
-    # K_{6,6} in place of the plane PG(2, 5): 6-regular, but of girth 4 < 6
-    k66 = construct._polygon_incidence_graph(2, 5)
-    monkeypatch.setattr(construct, "_polygon_incidence_graph", lambda n, p: k66)
+    # in place of the plane PG(2, 5), 31 points and 31 lines with point i on
+    # lines i..i+5 (mod 31): its size and 6-regular, but of girth 4 < 6
+    lines = [(i, 31 + (i + k) % 31) for i in range(31) for k in range(6)]
+    stand_in = Hypergraph(range(62), lines)
+    monkeypatch.setattr(construct, "_polygon_incidence_graph", lambda n, p: stand_in)
     with pytest.raises(AssertionError, match="supplier output lost the girth guarantee"):
         supply_min_degree_girth(2, 6, 6)
 

@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
 from decimal import Decimal
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -215,9 +218,12 @@ class TestCli:
         factor = loads(out.read_text())
         assert factor.num_vertices == 9 and factor.num_edges == 6
 
-    @pytest.mark.parametrize("parts", ["30", "1000000000"])
+    @pytest.mark.parametrize(
+        "parts", ["30", "1000000000", pytest.param("1" + "0" * 2000, id="2001-digits")]
+    )
     def test_construct_factor_beyond_the_limits_is_refused(self, tmp_path, capsys, parts):
-        # C(30, 3) = 4060 copies of pr(3, 3) have 284,200 vertices
+        # C(30, 3) = 4060 copies of pr(3, 3) have 284,200 vertices; the other
+        # counts pass SIZE_CAP (a 2001-digit count once failed to print)
         pr = tmp_path / "pr33.json"
         assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(pr)]) == 0
         out = tmp_path / "factor.json"
@@ -227,6 +233,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.err.startswith(f"refused: complete partite factor with {parts} parts")
+        assert captured.err.rstrip().endswith("[estimate: astronomical]") == (parts != "30")
         assert not out.exists()
         assert elapsed < 1.0
 
@@ -323,21 +330,26 @@ class TestCli:
         assert not out.exists()
 
     def test_random_carrier_refuses_a_huge_count_at_once(self, tmp_path, capsys):
-        # C(3000000, 1500000) alone takes minutes to compute in full
+        # C(3000000, 1500000) alone takes minutes to compute in full; the
+        # vertex count is refused first
         out = tmp_path / "x.json"
         argv = ["random", "carrier", "--n", "3000000", "--R", "1500000", "--g", "2", "-o", str(out)]
         t0 = time.perf_counter()
         code = run(argv)
         elapsed = time.perf_counter() - t0
         assert code == 4
-        assert capsys.readouterr().err.startswith("refused: a carrier sample of")
+        assert capsys.readouterr().err == (
+            "refused: a carrier on 3000000 vertices exceeds the limit of 100000 vertices"
+            " [estimate: 3000000 vertices]\n"
+        )
         assert not out.exists()
         assert elapsed < 5.0
 
     @pytest.mark.parametrize("kind", [["carrier", "--R", "5"], ["search", "--r", "3"]])
     def test_random_with_a_huge_n_is_refused_at_once(self, tmp_path, capsys, kind):
         # the sample size has about 4400 digits: its root took seconds of
-        # bisection, and the refusal printed it in full, past str()'s limit
+        # bisection, and a refusal that printed n in full would pass str()'s
+        # limit; the vertex count is refused before the root is taken
         out = tmp_path / "x.json"
         argv = ["random", *kind, "--n", "1" + "0" * 3300, "--g", "3", "-o", str(out)]
         t0 = time.perf_counter()
@@ -345,7 +357,7 @@ class TestCli:
         elapsed = time.perf_counter() - t0
         captured = capsys.readouterr()
         assert code == 4, captured.err
-        assert captured.err.startswith("refused: a carrier sample of ~10^4400 edges")
+        assert captured.err.startswith("refused: a carrier on ~10^3300 vertices exceeds the limit")
         assert captured.err.rstrip().endswith("[estimate: astronomical]")
         assert not out.exists()
         assert elapsed < 1.0
@@ -651,3 +663,71 @@ def test_readme_cli_examples_parse():
     for line in examples:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert callable(args.func), line
+
+
+def _leaf_commands(parser, prefix=()):
+    """Every leaf command of ``parser`` with its words, e.g. ("random", "carrier")."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + (name,))
+            return
+    yield prefix, parser
+
+
+class _Deadline(BaseException):  # not an Exception, so run() cannot report it as exit 5
+    pass
+
+
+def test_every_integer_option_survives_extreme_values(tmp_path, capsys):
+    # each integer option of each leaf command, read from the parser, is set
+    # in turn to every value of the menu while the other arguments stay valid;
+    # every call must end in a documented exit code, without an "unexpected"
+    # error, within its deadline
+    pr33, h32, out = tmp_path / "pr33.json", tmp_path / "h32.json", str(tmp_path / "out")
+    assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(pr33)]) == 0
+    assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(h32)]) == 0
+    valid = {
+        ("construct", "pr"): [["--r", "3", "--g", "3"]],
+        ("construct", "h"): [["--r", "3", "--g", "2"]],
+        ("construct", "factor"): [["--input", str(pr33), "--parts", "4"]],
+        ("girth",): [[str(pr33)]],
+        ("solve",): [["good", str(h32)], ["part-rainbow", str(pr33)]],
+        ("random", "carrier"): [["--n", "12", "--R", "5", "--g", "3"]],
+        ("random", "search"): [
+            ["--n", "8", "--r", "3", "--g", "2", "--seed", "7", "--tries", "4", "--budget", "2000"]
+        ],
+        ("bound",): [["--r", "3", "--g", "3"]],
+        ("convert",): [[str(h32), "--json"]],
+    }
+    values = ["-1", "0", "1", "2", "3", "50", str(10**6), str(10**18), "1" + "0" * 2000]
+
+    def expire(*_):
+        raise _Deadline
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    swept = set()
+    try:
+        for words, parser in _leaf_commands(cli.build_parser()):
+            options = [a.option_strings[0] for a in parser._actions if a.type is int]
+            assert words in valid, words
+            swept.add(words)
+            for base, option, value in product(valid[words], options, values):
+                argv = list(base)
+                if option in argv:
+                    argv[argv.index(option) + 1] = value
+                else:
+                    argv += [option, value]
+                argv = [*words, *argv, "-o", out]
+                signal.setitimer(signal.ITIMER_REAL, 5.0)
+                try:
+                    code = run(argv)
+                except _Deadline:
+                    pytest.fail(f"no exit within 5 s: {' '.join(argv)[:200]}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                err = capsys.readouterr().err
+                assert code in range(5) and "unexpected" not in err, (argv[:4], option, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert swept == set(valid)
