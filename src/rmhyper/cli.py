@@ -109,6 +109,8 @@ def _read_text(path: str) -> str:
             return fp.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason}") from None
 
 
 def _load(path: str, parse: Callable[[str], _T]) -> _T:

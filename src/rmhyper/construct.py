@@ -632,11 +632,13 @@ def build_factor(
 ) -> PartiteHypergraph:
     """:func:`complete_partite_factor` of ``p`` into ``a`` parts, estimate-first:
     refuses with a SizeLimitError, before building anything, when its C(a, r)
-    copies exceed the limits.  A count past ``SIZE_CAP`` is astronomical."""
+    copies exceed the limits.  Each copy is priced as at least one vertex and
+    each of the ``a`` output part lists as one more, so an input without
+    vertices is not free.  A count past ``SIZE_CAP`` is astronomical."""
     copies = comb_at_most(a, p.num_parts, SIZE_CAP + 1)
-    counts = (copies * p.num_vertices, copies * p.num_edges)
+    counts = (copies * max(p.num_vertices, 1) + a, copies * p.num_edges)
     estimate = SizeEstimate(*counts, False)
-    if max(copies, *counts) > SIZE_CAP:
+    if max(counts) > SIZE_CAP:
         estimate = SizeEstimate(None, None, True, f"over {SIZE_CAP:.0e} copies, vertices or edges")
     _refuse_beyond(estimate, f"complete partite factor with {a} parts", limits or BuildLimits())
     return complete_partite_factor(p, a)[0]

@@ -6,7 +6,8 @@ rule holds for loaders and writers alike (:func:`_check_vertex_ids`): vertex
 ids are strings or integers (not booleans), and no two ids may have the same
 text form, such as ``1`` and ``"1"``, because reports and DOT output name
 vertices by that text.  A writer given other ids raises :class:`FormatError`
-instead of writing a document the loader would refuse.
+instead of writing a document the loader would refuse.  The loader also
+refuses an edge or part that is not a JSON array or lists a vertex twice.
 
 Dumps are canonical: the text of ``json.dumps(to_json_dict(h, meta),
 sort_keys=True, indent=2)`` plus a newline, with each edge and part listed in
@@ -61,22 +62,46 @@ def to_json_dict(h: Hypergraph, meta: dict[str, Any] | None = None) -> dict[str,
     return doc
 
 
+def _arrays(doc: dict[str, Any], key: str) -> list:
+    """``doc[key]``, refused unless it is a list of JSON arrays."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise FormatError(f"key {key!r} must be a list")
+    if not set(map(type, items)) <= {list}:
+        pos = next(i for i, x in enumerate(items) if type(x) is not list)
+        raise FormatError(f"{key[:-1]} #{pos} is not a JSON array")
+    return items
+
+
+def _no_repeats(key: str, items: list, kept: Sequence[Sequence[Any]]) -> None:
+    """Refuse ``items`` if one lists a vertex twice.  ``kept`` is what was
+    built from them, repeats dropped, so equal member counts prove there are
+    none; the offender is looked for only when the counts differ."""
+    if sum(map(len, items)) != sum(map(len, kept)):
+        pos, item = next((i, x) for i, x in enumerate(items) if len(set(x)) != len(x))
+        twice = next(v for v in item if item.count(v) > 1)
+        raise FormatError(f"{key[:-1]} #{pos} lists vertex {twice!r} twice")
+
+
 def from_json_dict(doc: dict[str, Any]) -> Hypergraph:
     if not isinstance(doc, dict):
         raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("vertices", "edges"):
         if key not in doc:
             raise FormatError(f"missing required key {key!r}")
-        if not isinstance(doc[key], list):
-            raise FormatError(f"key {key!r} must be a list")
+    if not isinstance(doc["vertices"], list):
+        raise FormatError("key 'vertices' must be a list")
+    edges = _arrays(doc, "edges")
     _check_vertex_ids(doc["vertices"])
     try:
-        h = Hypergraph(doc["vertices"], doc["edges"])
-        if "parts" in doc:
-            if not isinstance(doc["parts"], list):
-                raise FormatError("key 'parts' must be a list")
-            return PartiteHypergraph(h, doc["parts"])
-        return h
+        h = Hypergraph(doc["vertices"], edges)
+        _no_repeats("edges", edges, h.edge_index_tuples())
+        if "parts" not in doc:
+            return h
+        parts = _arrays(doc, "parts")
+        p = PartiteHypergraph(h, parts)
+        _no_repeats("parts", parts, p.parts)
+        return p
     except HypergraphError as exc:
         raise FormatError(str(exc)) from exc
     except TypeError as exc:
@@ -123,6 +148,8 @@ def _decode(text: str) -> Any:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise FormatError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # an integer past the digit limit of int()
+        raise FormatError("invalid JSON: an integer has too many digits") from None
 
 
 def _meta_of(doc: Any) -> dict[str, Any]:

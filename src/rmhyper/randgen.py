@@ -8,9 +8,12 @@ until the girth target holds.  :func:`sample_subedges` draws one r-subset
 from each carrier edge's position tuple; the r-uniform hypergraph they span
 inherits the carrier's girth.  :func:`random_search_unavoidable` repeats
 both with R = (r-1)^2+1 and hands each result to the coloring solver until
-one is certified.  The counting bound is evaluated in the standard
-library's decimal arithmetic at fixed precisions instead of re-proving the
-existence result, whose n is far beyond desk scale.
+one is certified.  The counting bound is decided rather than re-proving
+the existence result, whose n is far beyond desk scale: both sides are
+evaluated in the standard library's decimal arithmetic from 30 digits, and
+the comparison stands once they differ by more than a proven error bound;
+otherwise the precision doubles up to a cap of 960 digits, where an
+undecided comparison raises ArithmeticError.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, log, log1p, log2, log10
 
@@ -29,6 +33,7 @@ from .girth import girth, girth_at_least
 DEFAULT_SAMPLES = 8
 DEFAULT_TRIES = 64
 DEFAULT_SEARCH_BUDGET = 2_000_000
+_MAX_DIGITS = 960  # the counting comparison's precision cap: 30 digits doubled five times
 
 
 def derive_seed(master: int, label: object) -> int:
@@ -225,19 +230,41 @@ def _counting_sides(n: int, a: int, g: int, dps: int = 50) -> tuple[Decimal, Dec
 
 
 def counting_inequality_holds(n: int, r: int, g: int) -> bool:
-    """Exact check of n ln n + ln(a-1) < n^(1+1/g) ln(a/(a-1)).
+    """Decide n ln n + ln(a-1) < n^(1+1/g) ln(a/(a-1)).
 
     ``a`` is the number of r-subsets of an edge of the (r-1)^2+1-uniform
-    carrier.  Both sides are evaluated in decimal arithmetic at 30 and at 60
-    significant digits; if the two comparisons disagree, ArithmeticError is
-    raised.
+    carrier.  Both sides are evaluated by :func:`_counting_sides` at p = 30
+    significant digits.  The computed sides L and R decide the comparison
+    once |L - R| > rho (L + R), with rho = (3b/g + 6) 10^(1-p) and b the bit
+    length of n; this test is evaluated exactly, in rationals.  Otherwise p
+    is doubled, and past ``_MAX_DIGITS`` ArithmeticError is raised.
+
+    Why rho suffices.  Let u = 10^(1-p) / 2.  decimal rounds each of
+    + - * /, ln and exp correctly, so every step is exact up to a factor
+    1 + d with |d| <= u; n and g enter exactly.  :func:`_log_terms` rounds
+    ln(a-1) twice (within 1.1u), and its ln(a/(a-1)) >= 1/a turns the
+    rounding of the quotient at P = p + bit_length(a)//3 + 1 digits into a
+    relative error below a 10^(p-P) u < 0.8u, so with two more roundings
+    it is within 2u.  The left side's terms are positive; two roundings on
+    n ln n and one on the sum leave it within 3.01u.  On the right, ln n / g
+    = x is computed within 2.01u, and exp multiplies that relative error by
+    x <= b ln 2 / g: while rho <= 1, e^(x 2.01u) <= e^(1/2), so exp(x) is
+    within 2.3 (b/g) u, and three roundings and the slope add 5.01u.  Each
+    side is thus within eps = rho / 2 of its exact value, and within
+    eps / (1 - eps) <= rho of the computed one.  So R - L > rho (L + R)
+    gives exact rhs >= R (1 - rho) > L (1 + rho) >= exact lhs, and the
+    other sign gives the reverse; the test can pass only while rho < 1.
     """
     a = _subset_count(r)
-    lo_lhs, lo_rhs = _counting_sides(n, a, g, dps=30)
-    hi_lhs, hi_rhs = _counting_sides(n, a, g, dps=60)
-    if (lo_lhs < lo_rhs) != (hi_lhs < hi_rhs):
-        raise ArithmeticError(f"precision-dependent comparison at n={n}")
-    return bool(hi_lhs < hi_rhs)
+    rho = Fraction(3 * n.bit_length() + 6 * g, g)
+    dps = 30
+    while True:
+        lhs, rhs = map(Fraction, _counting_sides(n, a, g, dps))
+        if abs(lhs - rhs) > rho * (lhs + rhs) / 10 ** (dps - 1):
+            return lhs < rhs
+        if dps >= _MAX_DIGITS:
+            raise ArithmeticError(f"counting inequality undecided at n={n} with {dps} digits")
+        dps *= 2
 
 
 def _check_r(r: int) -> int:
@@ -253,41 +280,35 @@ def _subset_count(r: int) -> int:
     return comb((_check_r(r) - 1) ** 2 + 1, r)
 
 
-def _first_holding(holds, n_max: int) -> int | None:
+def _first_holding(holds, n_max: int, lo: int = 1, hi: int = 2) -> int | None:
     """Smallest n >= 2 with ``holds(n)``, for a ``holds`` that is monotone in
-    n: exponential search finds a satisfying n, binary search isolates the
-    boundary.  None if no n up to ``n_max`` satisfies it."""
-    hi = 2
+    n, searched from the bracket lo < hi; n = 1 counts as failing and is
+    never evaluated.  The bracket gallops outward, doubling its width, until
+    ``holds(hi)`` and not ``holds(lo)``, and bisection then isolates the
+    boundary.  None if ``hi`` passes ``n_max`` first."""
+    while lo > 1 and holds(lo):
+        lo, hi = max(1, 3 * lo - 2 * hi), lo
     while not holds(hi):
-        hi *= 2
+        lo, hi = hi, 3 * hi - 2 * lo
         if hi > n_max:
             return None
-    lo = max(2, hi // 2)
-    while lo < hi:
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):
             hi = mid
         else:
-            lo = mid + 1
+            lo = mid
     return hi
-
-
-def _is_boundary(n: int, r: int, g: int) -> bool:
-    """Exact check that the counting inequality holds at n and fails at n-1."""
-    return counting_inequality_holds(n, r, g) and not (
-        n > 2 and counting_inequality_holds(n - 1, r, g)
-    )
 
 
 def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
     """Smallest n satisfying the counting inequality, by monotone search.
 
-    The search runs in floats, and the exact two-precision check confirms
-    that the inequality holds at its result n and fails at n-1.  If the
-    floats found no n up to ``n_max``, overflowed, or the check fails or
-    raises, the search runs again on the exact check alone, with a downward
-    walk from the binary search's result, and its result is re-verified the
-    same way.
+    A search in floats gives a guess, and one exact search on
+    :func:`counting_inequality_holds` starts from the bracket (guess - 1,
+    guess), or from (1, 2) where the floats overflow or find no n up to
+    ``n_max``.  From (1, 2) the bracket doubles, so ArithmeticError is
+    raised when no power of two up to ``n_max`` satisfies the inequality.
     """
     _check_r(r)
     if g < 2:
@@ -301,19 +322,14 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
     a = _subset_count(r)
 
     c, slope, power = log(a - 1), log1p(1 / (a - 1)), 1 + 1 / g
-    try:  # floats overflow past 1e308, and the exact check can be undecided
-        n = _first_holding(lambda n: n * log(n) + c < n**power * slope, n_max)
-        confirmed = n is not None and _is_boundary(n, r, g)
-    except ArithmeticError:
-        confirmed = False
-    if not confirmed:
-        n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max)
-        if n is None:
-            raise ArithmeticError(f"no satisfying n found below {n_max}")
-        while n > 2 and counting_inequality_holds(n - 1, r, g):
-            n -= 1
-        if not _is_boundary(n, r, g):
-            raise ArithmeticError("threshold boundary verification failed")
+    try:  # floats overflow past 1e308
+        guess = _first_holding(lambda n: n * log(n) + c < n**power * slope, n_max)
+    except OverflowError:
+        guess = None
+    bracket = (1, 2) if guess is None else (guess - 1, guess)
+    n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max, *bracket)
+    if n is None:
+        raise ArithmeticError(f"no satisfying n found below {n_max}")
     lhs, rhs = _counting_sides(n, a, g)
     return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
 

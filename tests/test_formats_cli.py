@@ -1,4 +1,5 @@
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rmhyper import cli, randgen
 from rmhyper.cli import run
@@ -90,6 +92,23 @@ class TestJson:
             writer(h)
         with pytest.raises(FormatError, match=match):
             writer(PartiteHypergraph(h, [[ids[1]], [ids[0], ids[2]]]))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"vertices": ["a", "b", "c"], "edges": ["ab", ["b", "c"]]}', "^edge #0 is not a JSON array$"),
+            ('{"vertices": [0, 1], "edges": [[0, 1], {"0": 1, "1": 2}]}', "^edge #1 is not a JSON array$"),
+            ('{"vertices": [0, 1], "edges": [[0, 0, 1]]}', "^edge #0 lists vertex 0 twice$"),
+            ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2, true]]}', "^edge #1 lists vertex 1 twice$"),
+            ('{"vertices": [0, 1], "edges": [[0, 1]], "parts": [[0], "1"]}', "^part #1 is not a JSON array$"),
+            ('{"vertices": [0, 1], "edges": [[0, 1]], "parts": [[0], [1, 1]]}', "^part #1 lists vertex 1 twice$"),
+        ],
+    )
+    def test_edges_and_parts_are_arrays_without_repeats(self, text, match):
+        # a string once loaded as the set of its characters, and a repeated
+        # member as one member
+        with pytest.raises(FormatError, match=match):
+            loads(text)
 
     def test_missing_keys(self):
         with pytest.raises(FormatError, match="vertices"):
@@ -237,6 +256,23 @@ class TestCli:
         assert not out.exists()
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("parts", ["[[]]", "[]"])
+    def test_construct_factor_prices_its_part_lists(self, tmp_path, capsys, parts):
+        # an input without vertices once passed the gate whatever --parts was:
+        # 10^5 copies of an empty part, or one copy with 10^5 part lists
+        empty = tmp_path / "empty.json"
+        empty.write_text(f'{{"vertices": [], "edges": [], "parts": {parts}}}')
+        out = tmp_path / "factor.json"
+        t0 = time.perf_counter()
+        code = run(["construct", "factor", "--input", str(empty), "--parts", "100000", "-o", str(out)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert captured.err.startswith("refused: complete partite factor with 100000 parts")
+        assert not out.exists()
+        assert elapsed < 0.2
+        assert run(["construct", "factor", "--input", str(empty), "--parts", "3", "-o", str(out)]) == 0
+
     def test_size_limit_exit_code(self, tmp_path, capsys):
         code = run(["construct", "h", "--r", "3", "--g", "3", "-o", str(tmp_path / "x.json")])
         captured = capsys.readouterr()
@@ -266,14 +302,13 @@ class TestCli:
         assert elapsed < 1.0
 
     def test_precision_dependent_bound_is_an_error(self, capsys, monkeypatch):
-        def sides(n, a, g, dps=50):  # the 30-digit sides say "holds", the 60-digit ones not
-            return (Decimal(1), Decimal(2)) if dps == 30 else (Decimal(2), Decimal(1))
-
-        monkeypatch.setattr(randgen, "_counting_sides", sides)
+        # sides that never separate are undecided up to the precision cap
+        monkeypatch.setattr(randgen, "_counting_sides", lambda n, a, g, dps=50: (Decimal(1), Decimal(1)))
         assert run(["bound", "--r", "3", "--g", "3"]) == cli.EXIT_BAD_INPUT == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: precision-dependent comparison at n=2\n"
+        # the search's first exact evaluation is just below the float guess
+        assert captured.err == "error: counting inequality undecided at n=2796450 with 960 digits\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -447,6 +482,24 @@ class TestCli:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.startswith(f"error: {f}: invalid JSON"), captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"vertices": ["a", "b", "c"], "edges": ["ab", ["b", "c"]]}', "edge #0 is not a JSON array"),
+            (b'{"vertices": [0, 1], "edges": [[0, 0, 1]]}', "edge #0 lists vertex 0 twice"),
+            (b'{"vertices": [' + b"1" * 5000 + b'], "edges": []}', "invalid JSON: an integer has too many digits"),
+            (b'{"vertices": ["\xff"], "edges": []}', "not UTF-8 text: invalid start byte"),
+        ],
+        ids=["string-edge", "repeated-member", "huge-integer", "not-utf8"],
+    )
+    def test_loader_refusals_name_the_file(self, tmp_path, capsys, content, message):
+        # the string edge once loaded as {a, b} (girth exited 1), the
+        # repeated member as a 2-edge; the last two exited 3 without the path
+        f = tmp_path / "doc.json"
+        f.write_bytes(content)
+        assert run(["girth", str(f)]) == 3
+        assert capsys.readouterr().err == f"error: {f}: {message}\n"
 
     @pytest.mark.parametrize("argv", [["solve", "good", "{}"], ["convert", "{}", "--dot"]])
     def test_colliding_vertex_ids_are_bad_input(self, tmp_path, capsys, argv):
@@ -731,3 +784,115 @@ def test_every_integer_option_survives_extreme_values(tmp_path, capsys):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert swept == set(valid)
+
+
+# A small grammar of JSON documents, as text: a valid partite triple system
+# (parts {0, 1}, {2, 3}, {4, 5}) under a few mutations, or other values,
+# deep nesting, truncation and bytes that are not UTF-8.
+_VALID_DOCUMENT = {
+    "vertices": ["0", "1", "2", "3", "4", "5"],
+    "edges": [["0", "2", "4"], ["0", "3", "5"], ["1", "2", "5"], ["1", "3", "4"]],
+    "parts": [["0", "1"], ["2", "3"], ["4", "5"]],
+}
+_ODD_ATOMS = [
+    '"a"', '"0"', '"01"', "6", "-1", "true", "null", "1.0", "NaN", "-Infinity",
+    "9" * 300, "1" * 4400, '"\\ud800"', "{}", "[]",
+]
+_ATOMS = st.sampled_from(_VALID_DOCUMENT["vertices"] + _ODD_ATOMS)
+
+
+def _render(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, dict):
+        return "{" + ", ".join(f'"{k}": {_render(v)}' for k, v in x.items()) + "}"
+    return "[" + ", ".join(map(_render, x)) + "]"
+
+
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["k", "x"]), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+_DEEP = st.sampled_from([10, 900, 990, 50_000]).map(lambda k: "[" * k + "]" * k)
+
+
+@st.composite
+def _documents(draw) -> bytes:
+    doc = copy.deepcopy(_VALID_DOCUMENT)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["vertices", "edges", "parts", "meta", "drop"]))
+        if key == "drop":
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+            continue
+        if key == "meta" or key not in doc:
+            doc[key] = draw(st.one_of(_VALUES, _DEEP, st.lists(st.lists(_ATOMS, max_size=4), max_size=4)))
+            continue
+        items = doc[key]
+        if not isinstance(items, list) or not items:
+            doc[key] = draw(_VALUES)
+            continue
+        i = draw(st.integers(0, len(items) - 1))
+        op = draw(st.sampled_from(["replace", "extend", "repeat", "add"]))
+        if op == "replace":
+            items[i] = draw(_VALUES)
+        elif op == "add":
+            items.append(draw(_VALUES))
+        elif isinstance(items[i], list):
+            items[i] = items[i] + (items[i][:1] if op == "repeat" else [draw(_ATOMS)])
+        else:
+            items[i] = draw(_ATOMS)
+    text = _render(doc)
+    form = draw(st.sampled_from(["mutated"] * 6 + ["value", "deep", "truncated"]))
+    if form == "value":
+        text = _render(draw(_VALUES))
+    elif form == "deep":
+        text = draw(_DEEP)
+    elif form == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    raw = text.encode()
+    if draw(st.integers(0, 9)) == 9:  # a byte sequence that is not UTF-8
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(raw=_documents())
+def test_every_reader_survives_grammar_documents(tmp_path, capsys, raw):
+    # every command that reads a file must end each drawn document in a
+    # documented exit code, without an "unexpected" error, within its deadline
+    doc, out = tmp_path / "doc.json", str(tmp_path / "out")
+    doc.write_bytes(raw)
+    readers = [
+        ["girth", str(doc)], ["solve", "good", str(doc)], ["solve", "part-rainbow", str(doc)],
+        ["convert", str(doc), "--json"], ["convert", str(doc), "--dot"],
+        ["construct", "factor", "--input", str(doc), "--parts", "4"],
+    ]
+
+    def expire(*_):
+        raise _Deadline
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for argv in readers:
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            try:
+                code = run([*argv, "-o", out])
+            except _Deadline:
+                pytest.fail(f"no exit within 5 s: {argv[0]} on {raw[:200]!r}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            assert code in range(5) and "unexpected" not in err, (argv[:2], raw[:200], err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

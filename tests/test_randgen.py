@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     ceil_power_reference,
     counting_inequality_holds_mpmath,
+    counting_sides_mpmath,
     counting_threshold_exact,
     counting_threshold_mpmath,
     sample_subedges_reference,
@@ -277,6 +278,16 @@ class TestSampleSubedges:
             sample_subedges(h, 2, seed=0)
 
 
+# thresholds at n_max = 10^30 whose 30-digit sides do not separate at the
+# boundary
+THRESHOLDS_PAST_THIRTY_DIGITS = [
+    (3, 10, 6957495876184822085662209903),
+    (5, 5, 10111563050037188607123969124),
+    (6, 4, 53815054850691614230612069798),
+    (10, 2, 19416754885656815342929324482),
+]
+
+
 class TestCountingThreshold:
     def test_three_three_boundary(self):
         res = counting_threshold(3, 3)
@@ -362,14 +373,64 @@ class TestCountingThreshold:
                 assert randgen._log_terms(a, dps) == (+wide[0], +wide[1])
 
     def test_precision_disagreement_raises(self, monkeypatch):
-        def sides(n, a, g, dps=50):  # the 30-digit sides say "holds", the 60-digit ones not
-            return (Decimal(1), Decimal(2)) if dps == 30 else (Decimal(2), Decimal(1))
+        # sides that never separate are evaluated at 30, 60, ..., 960 digits,
+        # and only the cap raises; the search raises at its first evaluation,
+        # just below the float guess
+        guess = counting_threshold(3, 3).n
+        seen = []
+
+        def sides(n, a, g, dps=50):
+            seen.append(dps)
+            return Decimal(1), Decimal(1)
 
         monkeypatch.setattr(randgen, "_counting_sides", sides)
-        with pytest.raises(ArithmeticError, match="precision-dependent comparison at n=5$"):
+        with pytest.raises(ArithmeticError, match="^counting inequality undecided at n=5 with 960 digits$"):
             counting_inequality_holds(5, 3, 3)
-        with pytest.raises(ArithmeticError, match="precision-dependent comparison at n=2$"):
+        assert seen == [30, 60, 120, 240, 480, 960]
+        with pytest.raises(ArithmeticError, match=f"^counting inequality undecided at n={guess - 1} with 960 digits$"):
             counting_threshold(3, 3)
+
+    @pytest.mark.parametrize(
+        "gap, decided_at",
+        [
+            ("1.9e-28", 30),  # above rho (L + R) = 9 * 2 * 10^-29 at 30 digits
+            ("1.7e-28", 60),  # below it: undecided until 60 digits
+            ("1e-100", 120),  # the bound 1.8e-118 at 120 digits, 1.8e-58 at 60
+        ],
+    )
+    def test_decided_once_the_gap_exceeds_the_error_bound(self, monkeypatch, gap, decided_at):
+        # n = 5 and g = 3 give rho = (3 * 3 + 6 * 3) / 3 = 9 times 10^(1 - p)
+        seen = []
+
+        def sides(n, a, g, dps=50):
+            seen.append(dps)
+            with localcontext(Context(prec=200)):  # 1 + gap, unrounded
+                return Decimal(1), 1 + Decimal(gap)
+
+        monkeypatch.setattr(randgen, "_counting_sides", sides)
+        assert counting_inequality_holds(5, 3, 3)
+        assert seen[-1] == decided_at and seen == sorted(set(seen))
+        seen.clear()
+        monkeypatch.setattr(randgen, "_counting_sides", lambda *a: sides(*a)[::-1])
+        assert not counting_inequality_holds(5, 3, 3)
+        assert seen[-1] == decided_at
+
+    @pytest.mark.parametrize("r, g, threshold", THRESHOLDS_PAST_THIRTY_DIGITS)
+    def test_thresholds_past_the_thirty_digit_sides(self, r, g, threshold):
+        # each is confirmed at 150 digits by TestCountingSidesAgainstMpmath
+        assert counting_threshold(r, g, n_max=10**30).n == threshold
+
+    @pytest.mark.parametrize("n_max", [10**12, 10**30])
+    def test_every_grid_input_is_decided(self, n_max):
+        # on r = 3..11 x g = 2..39 a search either returns or finds no n
+        for r in range(3, 12):
+            for g in range(2, 40):
+                try:
+                    res = counting_threshold(r, g, n_max=n_max)
+                except ArithmeticError as exc:
+                    assert str(exc) == f"no satisfying n found below {n_max}", (r, g)
+                else:
+                    assert res.n <= n_max and res.lhs <= res.rhs
 
 
 class TestCountingSidesAgainstMpmath:
@@ -399,6 +460,14 @@ class TestCountingSidesAgainstMpmath:
             r, g = rng.randint(3, 11), rng.randint(2, 39)
             n = rng.randint(2, 10 ** rng.randint(1, 12))
             assert counting_inequality_holds(n, r, g) == counting_inequality_holds_mpmath(n, r, g), (n, r, g)
+
+    @pytest.mark.parametrize("r, g, threshold", THRESHOLDS_PAST_THIRTY_DIGITS)
+    def test_thresholds_past_the_thirty_digit_sides_hold_at_150_digits(self, r, g, threshold):
+        a = comb((r - 1) ** 2 + 1, r)
+        lhs, rhs = counting_sides_mpmath(threshold, a, g, dps=150)
+        assert lhs < rhs
+        lhs, rhs = counting_sides_mpmath(threshold - 1, a, g, dps=150)
+        assert lhs >= rhs
 
     @pytest.mark.parametrize("r, g", [(3, 2), (3, 3), (4, 2), (5, 2)])
     def test_decisions_agree_around_the_threshold(self, r, g):
