@@ -20,6 +20,7 @@ resolved against $RMHYPER_OUTPUT_DIR when it is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -86,16 +87,33 @@ _T = TypeVar("_T")
 
 
 def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
+    """``text`` as UTF-8 on stdout (``path`` None or "-") or in the file at
+    ``path``, which a failed write leaves as it was: the text is encoded
+    first, and a regular file is replaced by a complete temporary copy."""
+    if path == "-":
+        path = None
+    elif path is not None and (base := os.environ.get(OUTPUT_DIR_ENV)) and not os.path.isabs(path):
         path = os.path.join(base, path)
     try:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise FormatError(f"{path or '<stdout>'}: {bad!r} cannot be written as UTF-8") from None
+    if path is None:
+        sys.stdout.write(text)
+        return
+    target = os.path.realpath(path)  # through a symlink, not over it
+    # a device, a pipe or a directory is opened in place, never replaced
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write(data)
+        os.replace(tmp, target)
     except OSError as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 

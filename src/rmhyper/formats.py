@@ -7,7 +7,8 @@ ids are strings or integers (not booleans), and no two ids may have the same
 text form, such as ``1`` and ``"1"``, because reports and DOT output name
 vertices by that text.  A writer given other ids raises :class:`FormatError`
 instead of writing a document the loader would refuse.  The loader also
-refuses an edge or part that is not a JSON array or lists a vertex twice.
+refuses an edge or part that is not a JSON array, has a member of another
+type than a vertex id, or lists a vertex twice.
 
 Dumps are canonical: the text of ``json.dumps(to_json_dict(h, meta),
 sort_keys=True, indent=2)`` plus a newline, with each edge and part listed in
@@ -25,6 +26,7 @@ bipartite incidence graph (vertex nodes vs edge nodes) and is one-way.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Sequence
 
 from .core import Hypergraph, HypergraphError, PartiteHypergraph, VertexId
@@ -63,13 +65,17 @@ def to_json_dict(h: Hypergraph, meta: dict[str, Any] | None = None) -> dict[str,
 
 
 def _arrays(doc: dict[str, Any], key: str) -> list:
-    """``doc[key]``, refused unless it is a list of JSON arrays."""
+    """``doc[key]``, refused unless it is a list of JSON arrays whose members
+    have a vertex id's type: looked up by ``==`` alone, 1.0 and true are 1."""
     items = doc[key]
     if not isinstance(items, list):
         raise FormatError(f"key {key!r} must be a list")
     if not set(map(type, items)) <= {list}:
         pos = next(i for i, x in enumerate(items) if type(x) is not list)
         raise FormatError(f"{key[:-1]} #{pos} is not a JSON array")
+    if not set(map(type, chain.from_iterable(items))) <= {str, int}:
+        pos, bad = next((i, v) for i, x in enumerate(items) for v in x if type(v) not in (str, int))
+        raise FormatError(f"{key[:-1]} #{pos} member {bad!r} is not a string or an integer")
     return items
 
 

@@ -12,8 +12,8 @@ one is certified.  The counting bound is decided rather than re-proving
 the existence result, whose n is far beyond desk scale: both sides are
 evaluated in the standard library's decimal arithmetic from 30 digits, and
 the comparison stands once they differ by more than a proven error bound;
-otherwise the precision doubles up to a cap of 960 digits, where an
-undecided comparison raises ArithmeticError.
+otherwise the precision doubles up to 960 digits, where ArithmeticError is
+raised.  One exact search, from a decimal Newton root, finds the threshold.
 """
 from __future__ import annotations
 
@@ -21,9 +21,8 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor, log, log1p, log2, log10
+from math import ceil, comb, floor, inf, log, log2, log10
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import SIZE_CAP, BuildLimits, SizeEstimate, SizeLimitError
@@ -236,7 +235,7 @@ def counting_inequality_holds(n: int, r: int, g: int) -> bool:
     carrier.  Both sides are evaluated by :func:`_counting_sides` at p = 30
     significant digits.  The computed sides L and R decide the comparison
     once |L - R| > rho (L + R), with rho = (3b/g + 6) 10^(1-p) and b the bit
-    length of n; this test is evaluated exactly, in rationals.  Otherwise p
+    length of n; this test is evaluated exactly, in integers.  Otherwise p
     is doubled, and past ``_MAX_DIGITS`` ArithmeticError is raised.
 
     Why rho suffices.  Let u = 10^(1-p) / 2.  decimal rounds each of
@@ -256,11 +255,11 @@ def counting_inequality_holds(n: int, r: int, g: int) -> bool:
     other sign gives the reverse; the test can pass only while rho < 1.
     """
     a = _subset_count(r)
-    rho = Fraction(3 * n.bit_length() + 6 * g, g)
     dps = 30
     while True:
-        lhs, rhs = map(Fraction, _counting_sides(n, a, g, dps))
-        if abs(lhs - rhs) > rho * (lhs + rhs) / 10 ** (dps - 1):
+        (x, y), (z, w) = (side.as_integer_ratio() for side in _counting_sides(n, a, g, dps))
+        lhs, rhs = x * w, z * y  # L = x/y and R = z/w, both times y w
+        if abs(lhs - rhs) * g * 10 ** (dps - 1) > (3 * n.bit_length() + 6 * g) * (lhs + rhs):
             return lhs < rhs
         if dps >= _MAX_DIGITS:
             raise ArithmeticError(f"counting inequality undecided at n={n} with {dps} digits")
@@ -280,9 +279,9 @@ def _subset_count(r: int) -> int:
     return comb((_check_r(r) - 1) ** 2 + 1, r)
 
 
-def _first_holding(holds, n_max: int, lo: int = 1, hi: int = 2) -> int | None:
+def _first_holding(holds, n_max: int, lo: int, hi: int) -> int | None:
     """Smallest n >= 2 with ``holds(n)``, for a ``holds`` that is monotone in
-    n, searched from the bracket lo < hi; n = 1 counts as failing and is
+    n, searched from the bracket 1 <= lo < hi; n = 1 counts as failing and is
     never evaluated.  The bracket gallops outward, doubling its width, until
     ``holds(hi)`` and not ``holds(lo)``, and bisection then isolates the
     boundary.  None if ``hi`` passes ``n_max`` first."""
@@ -301,14 +300,38 @@ def _first_holding(holds, n_max: int, lo: int = 1, hi: int = 2) -> int | None:
     return hi
 
 
+def _newton_guess(a: int, g: int, n_max: int) -> int:
+    """The ceiling of the root of f(n) = rhs - lhs, clamped to [2, n_max].
+    A float seed t = ln n from t <- g (ln t - ln s), s = ln(a/(a-1)), falls to
+    its fixed point, where the map contracts by g/t < 1/3.  Newton steps on
+    integer n follow, in decimal at as many digits as n has plus 20, until
+    one is below 1; f and f'(n) = (1 + 1/g) n^(1/g) s - ln n - 1 come from
+    :func:`_counting_sides`: n^(1/g) s = rhs / n, ln n = (lhs - ln(a-1)) / n."""
+    s_a1 = Context().multiply(_log_terms(a, 30)[1], a - 1)  # near 1 for any a
+    ln_s = log(float(s_a1)) - log(a - 1)
+    t, last = 2 * g * (log(2 * g) - ln_s), inf  # above: ln t <= t/2g + ln 2g - 1
+    while last - t > 1e-12 * t:
+        last, t = t, g * (log(t) - ln_s)
+    if t >= log(n_max):
+        return n_max
+    dps = int(t / log(10)) + 21
+    n = round(Context(prec=dps).exp(Decimal(t)))  # an integer n keeps ln n short
+    while True:
+        lhs, rhs = _counting_sides(n, a, g, dps)
+        with localcontext(Context(prec=dps)):
+            root = n - n * (rhs - lhs) / ((g + 1) * rhs / g - lhs + _log_terms(a, dps)[0] - n)
+        if abs(root - n) < 1:
+            return min(max(ceil(root), 2), n_max)
+        n = round(root)
+
+
 def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResult:
     """Smallest n satisfying the counting inequality, by monotone search.
 
-    A search in floats gives a guess, and one exact search on
-    :func:`counting_inequality_holds` starts from the bracket (guess - 1,
-    guess), or from (1, 2) where the floats overflow or find no n up to
-    ``n_max``.  From (1, 2) the bracket doubles, so ArithmeticError is
-    raised when no power of two up to ``n_max`` satisfies the inequality.
+    One exact search on :func:`counting_inequality_holds` starts from the
+    bracket (guess - 1, guess) around :func:`_newton_guess`; the guess needs
+    no proof, since the search is correct from any bracket.  ArithmeticError
+    is raised when no n up to ``n_max`` satisfies the inequality.
     """
     _check_r(r)
     if g < 2:
@@ -320,14 +343,8 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
     if comb_at_most((r - 1) ** 2 + 1, r, root + 1) > root:
         raise ArithmeticError(f"no satisfying n found below {n_max}")
     a = _subset_count(r)
-
-    c, slope, power = log(a - 1), log1p(1 / (a - 1)), 1 + 1 / g
-    try:  # floats overflow past 1e308
-        guess = _first_holding(lambda n: n * log(n) + c < n**power * slope, n_max)
-    except OverflowError:
-        guess = None
-    bracket = (1, 2) if guess is None else (guess - 1, guess)
-    n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max, *bracket)
+    guess = _newton_guess(a, g, n_max)
+    n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max, guess - 1, guess)
     if n is None:
         raise ArithmeticError(f"no satisfying n found below {n_max}")
     lhs, rhs = _counting_sides(n, a, g)

@@ -99,7 +99,7 @@ class TestJson:
             ('{"vertices": ["a", "b", "c"], "edges": ["ab", ["b", "c"]]}', "^edge #0 is not a JSON array$"),
             ('{"vertices": [0, 1], "edges": [[0, 1], {"0": 1, "1": 2}]}', "^edge #1 is not a JSON array$"),
             ('{"vertices": [0, 1], "edges": [[0, 0, 1]]}', "^edge #0 lists vertex 0 twice$"),
-            ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2, true]]}', "^edge #1 lists vertex 1 twice$"),
+            ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2, true]]}', "^edge #1 member True is not a string or an integer$"),
             ('{"vertices": [0, 1], "edges": [[0, 1]], "parts": [[0], "1"]}', "^part #1 is not a JSON array$"),
             ('{"vertices": [0, 1], "edges": [[0, 1]], "parts": [[0], [1, 1]]}', "^part #1 lists vertex 1 twice$"),
         ],
@@ -107,6 +107,20 @@ class TestJson:
     def test_edges_and_parts_are_arrays_without_repeats(self, text, match):
         # a string once loaded as the set of its characters, and a repeated
         # member as one member
+        with pytest.raises(FormatError, match=match):
+            loads(text)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"vertices": [0, 1, 2, 3], "edges": [[0, 1.0, 2], [true, 3, 0]]}', "^edge #0 member 1.0 is not"),
+            ('{"vertices": [0, 1, 2, 3], "edges": [[0, 1, 2], [true, 3, 0]]}', "^edge #1 member True is not"),
+            ('{"vertices": [0, 1], "edges": [[0, 1]], "parts": [[0], [1.0]]}', "^part #1 member 1.0 is not"),
+            ('{"vertices": ["a", "b"], "edges": [["a", ["b"]]]}', "^edge #0 member \\['b'\\] is not"),
+        ],
+    )
+    def test_members_have_a_vertex_id_type(self, text, match):
+        # members were looked up by == alone, so 1.0 and true stood for 1
         with pytest.raises(FormatError, match=match):
             loads(text)
 
@@ -307,8 +321,8 @@ class TestCli:
         assert run(["bound", "--r", "3", "--g", "3"]) == cli.EXIT_BAD_INPUT == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        # the search's first exact evaluation is just below the float guess
-        assert captured.err == "error: counting inequality undecided at n=2796450 with 960 digits\n"
+        # the search's first exact evaluation is just below the Newton guess
+        assert captured.err == "error: counting inequality undecided at n=2796449 with 960 digits\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -510,6 +524,31 @@ class TestCli:
         assert run([a.format(f) for a in argv] + ["-o", str(out)]) == 3
         assert "same text form" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, fmt, message",
+        [
+            ('{"vertices": [0, 1, 2, 3], "edges": [[0, 1.0, 2], [true, 3, 0]]}', "--json",
+             "{doc}: edge #0 member 1.0 is not a string or an integer"),
+            ('{"vertices": ["\\ud800", "a", "b"], "edges": [["\\ud800", "a", "b"]]}', "--dot",
+             "{out}: '\\ud800' cannot be written as UTF-8"),
+        ],
+        ids=["typed-member", "lone-surrogate"],
+    )
+    @pytest.mark.parametrize("before", [None, b"kept\n"])
+    def test_a_failed_convert_writes_nothing(self, tmp_path, capsys, content, fmt, message, before):
+        # the typed members once converted to {0, 1, 2} and {0, 1, 3}; the
+        # surrogate left a 0-byte out.dot behind Python's bare codec message
+        doc, out = tmp_path / "doc.json", tmp_path / "out"
+        doc.write_text(content)
+        if before is not None:
+            out.write_bytes(before)
+        assert run(["convert", str(doc), fmt, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == "error: " + message.format(doc=doc, out=out) + "\n"
+        assert (out.read_bytes() if out.exists() else None) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"] + ["out"] * (before is not None)
+        assert run(["convert", str(doc), fmt]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_usage_errors_do_not_collide_with_budget_exit(self, capsys):
         assert run(["construct", "pr"]) == 3  # missing --r/--g
@@ -732,11 +771,15 @@ class _Deadline(BaseException):  # not an Exception, so run() cannot report it a
     pass
 
 
+def _bytes_or_none(path) -> bytes | None:
+    return Path(path).read_bytes() if os.path.exists(path) else None
+
+
 def test_every_integer_option_survives_extreme_values(tmp_path, capsys):
     # each integer option of each leaf command, read from the parser, is set
     # in turn to every value of the menu while the other arguments stay valid;
     # every call must end in a documented exit code, without an "unexpected"
-    # error, within its deadline
+    # error, within its deadline, and a failed call leaves its -o file as it was
     pr33, h32, out = tmp_path / "pr33.json", tmp_path / "h32.json", str(tmp_path / "out")
     assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", str(pr33)]) == 0
     assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(h32)]) == 0
@@ -772,6 +815,7 @@ def test_every_integer_option_survives_extreme_values(tmp_path, capsys):
                 else:
                     argv += [option, value]
                 argv = [*words, *argv, "-o", out]
+                before = _bytes_or_none(out)
                 signal.setitimer(signal.ITIMER_REAL, 5.0)
                 try:
                     code = run(argv)
@@ -781,13 +825,16 @@ def test_every_integer_option_survives_extreme_values(tmp_path, capsys):
                     signal.setitimer(signal.ITIMER_REAL, 0)
                 err = capsys.readouterr().err
                 assert code in range(5) and "unexpected" not in err, (argv[:4], option, err)
+                if code >= cli.EXIT_BAD_INPUT:  # a failed command writes nothing
+                    assert _bytes_or_none(out) == before, (argv[:4], option, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert swept == set(valid)
 
 
 # A small grammar of JSON documents, as text: a valid partite triple system
-# (parts {0, 1}, {2, 3}, {4, 5}) under a few mutations, or other values,
+# (parts {0, 1}, {2, 3}, {4, 5}) under a few mutations (one of which renames
+# a vertex everywhere, so that odd ids reach the writers), or other values,
 # deep nesting, truncation and bytes that are not UTF-8.
 _VALID_DOCUMENT = {
     "vertices": ["0", "1", "2", "3", "4", "5"],
@@ -820,11 +867,23 @@ _VALUES = st.recursive(
 _DEEP = st.sampled_from([10, 900, 990, 50_000]).map(lambda k: "[" * k + "]" * k)
 
 
+def _renamed(x, old: str, new: str):
+    """``x`` with every atom ``old`` replaced by ``new``."""
+    if isinstance(x, list):
+        return [_renamed(y, old, new) for y in x]
+    if isinstance(x, dict):
+        return {k: _renamed(v, old, new) for k, v in x.items()}
+    return new if x == old else x
+
+
 @st.composite
 def _documents(draw) -> bytes:
     doc = copy.deepcopy(_VALID_DOCUMENT)
     for _ in range(draw(st.integers(0, 3))):
-        key = draw(st.sampled_from(["vertices", "edges", "parts", "meta", "drop"]))
+        key = draw(st.sampled_from(["vertices", "edges", "parts", "meta", "drop", "rename"]))
+        if key == "rename":  # one vertex id, everywhere
+            doc = _renamed(doc, draw(st.sampled_from(_VALID_DOCUMENT["vertices"])), draw(_ATOMS))
+            continue
         if key == "drop":
             doc.pop(draw(st.sampled_from(sorted(doc))))
             continue
@@ -870,7 +929,8 @@ def _documents(draw) -> bytes:
 @given(raw=_documents())
 def test_every_reader_survives_grammar_documents(tmp_path, capsys, raw):
     # every command that reads a file must end each drawn document in a
-    # documented exit code, without an "unexpected" error, within its deadline
+    # documented exit code, without an "unexpected" error, within its deadline,
+    # and leave its -o file as it was when it fails
     doc, out = tmp_path / "doc.json", str(tmp_path / "out")
     doc.write_bytes(raw)
     readers = [
@@ -885,6 +945,7 @@ def test_every_reader_survives_grammar_documents(tmp_path, capsys, raw):
     previous = signal.signal(signal.SIGALRM, expire)
     try:
         for argv in readers:
+            before = _bytes_or_none(out)
             signal.setitimer(signal.ITIMER_REAL, 5.0)
             try:
                 code = run([*argv, "-o", out])
@@ -894,5 +955,7 @@ def test_every_reader_survives_grammar_documents(tmp_path, capsys, raw):
                 signal.setitimer(signal.ITIMER_REAL, 0)
             err = capsys.readouterr().err
             assert code in range(5) and "unexpected" not in err, (argv[:2], raw[:200], err)
+            if code >= cli.EXIT_BAD_INPUT:  # a failed command writes nothing
+                assert _bytes_or_none(out) == before, (argv[:2], raw[:200], err)
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,4 @@
 import gc
-import math
 import random
 import re
 import time
@@ -344,10 +343,23 @@ class TestCountingThreshold:
         else:
             assert counting_threshold(r, g, n_max=n_max) == expected
 
-    def test_a_wrong_float_search_falls_back_to_the_exact_one(self, monkeypatch):
-        # skew the float evaluation so that its boundary is off for (3, 3)
-        monkeypatch.setattr(randgen, "log1p", lambda x: math.log1p(x) * 1.01)
-        assert counting_threshold(3, 3) == self.exact_search(3, 3)
+    def test_a_skewed_newton_guess_gives_the_same_threshold(self, monkeypatch):
+        # the exact search gallops from any bracket, so the guess needs no proof
+        pairs = [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)]
+        expected = [self.exact_search(r, g) for r, g in pairs]
+        newton_guess = randgen._newton_guess
+        for skew in (lambda n: n * 1000, lambda n: max(2, n // 1000)):
+            monkeypatch.setattr(
+                randgen, "_newton_guess", lambda a, g, n_max: min(skew(newton_guess(a, g, n_max)), n_max)
+            )
+            assert [counting_threshold(r, g) for r, g in pairs] == expected
+
+    def test_far_threshold_is_the_boundary(self):
+        # a 394-digit threshold, far past the floats' range
+        n = counting_threshold(3, 100, n_max=10**400).n
+        assert 10**393 < n < 10**394
+        assert counting_inequality_holds(n, 3, 100)
+        assert not counting_inequality_holds(n - 1, 3, 100)
 
     @pytest.mark.parametrize("r, g", [(2, 3), (3, 1)])
     def test_invalid_inputs_raise_as_the_exact_search(self, r, g):
@@ -374,21 +386,23 @@ class TestCountingThreshold:
 
     def test_precision_disagreement_raises(self, monkeypatch):
         # sides that never separate are evaluated at 30, 60, ..., 960 digits,
-        # and only the cap raises; the search raises at its first evaluation,
-        # just below the float guess
-        guess = counting_threshold(3, 3).n
+        # and only the cap raises; the search raises at its first evaluation
         seen = []
 
         def sides(n, a, g, dps=50):
-            seen.append(dps)
+            seen.append((n, dps))
             return Decimal(1), Decimal(1)
 
         monkeypatch.setattr(randgen, "_counting_sides", sides)
         with pytest.raises(ArithmeticError, match="^counting inequality undecided at n=5 with 960 digits$"):
             counting_inequality_holds(5, 3, 3)
-        assert seen == [30, 60, 120, 240, 480, 960]
-        with pytest.raises(ArithmeticError, match=f"^counting inequality undecided at n={guess - 1} with 960 digits$"):
+        assert seen == [(5, dps) for dps in (30, 60, 120, 240, 480, 960)]
+        seen.clear()
+        # the Newton step is 0 on these sides, so the guess is the rounded
+        # seed, 2796450, and the first exact evaluation is just below it
+        with pytest.raises(ArithmeticError, match="^counting inequality undecided at n=2796449 with 960 digits$"):
             counting_threshold(3, 3)
+        assert seen[-6:] == [(2796449, dps) for dps in (30, 60, 120, 240, 480, 960)]
 
     @pytest.mark.parametrize(
         "gap, decided_at",
