@@ -7,10 +7,17 @@ hypergraph cycle of length g corresponds exactly to an incidence cycle of
 length 2g, which turns the problem into a standard shortest-cycle BFS and
 handles length-2 cycles (two edges sharing two vertices) uniformly.
 
-A union-find run while the incidence graph is built tells a forest (infinite
-girth) apart.  Otherwise each vertex root costs one BFS, which stops at the
-first layer that cannot close a walk shorter than the best one found so far;
-the witness is read off the BFS tree of the root that found the shortest.
+The incidence graph is first peeled to its 2-core: a node of degree at most
+one lies on no cycle, so it is removed, and so on until every node left has
+at least two live neighbours.  Nothing is left exactly when the graph is a
+forest (infinite girth).  Otherwise each vertex root still in the core costs
+one BFS (the per-root search of Itai and Rodeh, SIAM J. Comput. 7(4), 1978),
+which stops at the first layer that cannot close a walk shorter than the
+best one found so far; after it, no cycle through the root is shorter than
+the best, so the root is removed and the core peeled again (while scans read
+three layers or more, where a removal is cheap beside them).  The witness is
+read off the BFS tree of the root that found the shortest, and it is the one
+a scan from every root would give (see :func:`girth`).
 
 :func:`girth_at_least` is the one check of a "girth at least g"
 postcondition, used by the supplier, the builders and the random generators:
@@ -98,37 +105,43 @@ class GirthResult:
     witness: CycleWitness | None
 
 
-def _incidence_adjacency(h: Hypergraph) -> tuple[list[Sequence[int]], bool]:
-    """Adjacency lists of the incidence graph, and whether it is a forest.
+def _incidence_adjacency(h: Hypergraph) -> list[Sequence[int]]:
+    """Adjacency lists of the incidence graph.
 
     Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges; an edge node's list
-    is the edge's own tuple of vertex positions.  The graph stays a
-    forest exactly while every edge node joins vertices of distinct
-    components, which a union-find over vertex positions tracks.
+    is the edge's own tuple of vertex positions.  Whether the graph is a
+    forest is left to the 2-core peel of :func:`girth`.
     """
     n = h.num_vertices
     adj: list = [[] for _ in range(n)]
-    comp = list(range(n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    forest = True
     for pos, key in enumerate(h.edge_index_tuples()):
         enode = n + pos
         for vi in key:
             adj[vi].append(enode)
         adj.append(key)
-        if forest:
-            roots = {find(vi) for vi in key}
-            forest = len(roots) == len(key)
-            top = roots.pop()
-            for other in roots:
-                comp[other] = top
-    return adj, forest
+    return adj
+
+
+def _peel(
+    adj: list[Sequence[int]], degree: list[int], level: list[int], cut: int, stack: list[int]
+) -> None:
+    """Remove the nodes on ``stack``, then every node left with one live
+    neighbour or none, until none is.
+
+    A removed node gets level ``cut``, above every level a scan sets, so the
+    scans neither enter it nor close a walk through it; ``degree`` counts
+    each node's live neighbours.  Each node is removed once, so all the
+    peels of one girth() call cost one pass over the incidence graph.
+    """
+    for x in stack:
+        level[x] = cut
+    while stack:
+        for y in adj[stack.pop()]:
+            if level[y] != cut:
+                degree[y] -= 1
+                if degree[y] == 1:
+                    level[y] = cut
+                    stack.append(y)
 
 
 def _scan_from_root(
@@ -138,9 +151,10 @@ def _scan_from_root(
 
     ``level`` and ``parent`` are shared by every root of one girth() call: a
     node reached at depth d gets level ``base + d``, so levels below ``base``
-    are left over from earlier roots and count as unseen.  Expanding a node
-    at depth d closes walks of length 2d + 2 only (the incidence graph is
-    bipartite, and shorter closings were seen from the other end a layer
+    are left over from earlier roots and count as unseen, while a node the
+    peel removed sits above every level and is never entered.  Expanding a
+    node at depth d closes walks of length 2d + 2 only (the incidence graph
+    is bipartite, and shorter closings were seen from the other end a layer
     earlier), so the scan stops at the first layer with 2d + 2 >= bound.  In
     the first layer that closes a walk it still finishes the layer and
     returns (2d + 2, u, w) with u < w the smallest closing pair of nodes;
@@ -203,35 +217,63 @@ def girth(h: Hypergraph, cap: int) -> GirthResult:
     """Exact Berge girth up to ``cap``.
 
     Returns the shortest cycle length with a certified witness when it is at
-    most ``cap``; ``infinite`` when the hypergraph is provably acyclic (its
-    incidence graph is a forest, found by a union-find while the adjacency
-    is built); ``at_least(cap + 1)`` otherwise.
+    most ``cap``; ``infinite`` when the hypergraph is provably acyclic (the
+    2-core of its incidence graph is empty); ``at_least(cap + 1)`` otherwise.
 
-    Each vertex root costs one BFS, which stops at the first layer that
-    cannot close a walk shorter than the best so far (at most 2 * cap at the
-    start).  The witness is the cycle of the last root that improved the
-    best, closed by its smallest pair of nodes, and is read off that root's
-    BFS tree.
+    Each vertex root still in the core costs one BFS, which stops at the
+    first layer that cannot close a walk shorter than the best so far (at
+    most 2 * cap at the start).  A BFS from a root on a cycle of length L
+    closes a walk of length at most L, so after the scan no cycle through
+    the root is shorter than the best: the root is removed, and the core is
+    peeled again, since a cycle shorter than the best avoids the root and
+    every node it leaves with fewer than two live neighbours.  This is done
+    only while the best exceeds 6: with a bound of 6 or less a scan reads
+    just the root's edges and their vertices, and a removal, which reads
+    the root's edges, costs up to a third of such a scan, on dense inputs
+    more than the scans it saves.  The witness is the cycle of the last
+    root that improved the best, closed by its smallest pair of nodes, and
+    is read off that root's BFS tree.
+
+    The removals change neither the girth nor the witness of a scan from
+    every root.  The first root to reach the minimum lies on a minimum
+    cycle.  No root scanned before it lies on one (its scan would have
+    reached the minimum), and a minimum cycle that avoids the removed roots
+    keeps two live neighbours at each of its nodes, so no minimum cycle
+    loses a node: the root is still in the core, and so is every walk its
+    scan closes at the minimum, each of which is a minimum cycle.  Up to
+    the closing layer each node the scan reaches has exactly one neighbour
+    in the layer before (two would close a shorter walk), so the nodes of
+    these walks are reached at the same depths, from the same parents and
+    in the same order with or without the removed nodes, and the scan
+    closes the same pairs and picks the same smallest.
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    adj, forest = _incidence_adjacency(h)
-    if forest:
+    adj = _incidence_adjacency(h)
+    n = h.num_vertices
+    # a scan reaches depth cap at most, so each root gets cap + 1 levels
+    cut = n * (cap + 1)
+    level = [-1] * len(adj)
+    degree = list(map(len, adj))
+    # an edge node has at least two vertices, so only vertex nodes start below 2
+    _peel(adj, degree, level, cut, [x for x in range(n) if degree[x] < 2])
+    if level.count(cut) == len(adj):
         return GirthResult(Girth.infinite(), None)
 
-    n = h.num_vertices
-    level = [-1] * len(adj)
     parent = [-1] * len(adj)
     best = 2 * cap + 1
     walk: list[int] = []
     for root in range(n):
-        # a scan reaches depth cap at most, so each root gets cap + 1 levels
+        if level[root] == cut:
+            continue
         found = _scan_from_root(adj, root, best, level, parent, root * (cap + 1))
         if found is not None:
             best, u, w = found
             walk = _path_to(parent, u) + _path_to(parent, w)[::-1]
             if best == 4:  # incidence cycles are even and >= 4; cannot improve
                 break
+        if best > 6:  # a shallower scan costs little more than the removal
+            _peel(adj, degree, level, cut, [root])
     if not walk:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0

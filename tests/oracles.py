@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations, permutations
+from typing import Sequence
 
 from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
 from rmhyper.formats import to_json_dict
+from rmhyper.girth import Girth, GirthResult, _path_to, _witness_from_walk
 from rmhyper.randgen import ThresholdResult, _subset_count, derive_seed
 
 
@@ -364,6 +366,125 @@ def ceil_power_reference(n: int, num: int, den: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The girth engine before the 2-core peel: a union-find tells a forest apart,
+# and every vertex root is scanned.
+# ---------------------------------------------------------------------------
+
+
+def _incidence_adjacency_reference(h: Hypergraph) -> tuple[list[Sequence[int]], bool]:
+    """Adjacency lists of the incidence graph, and whether it is a forest.
+
+    Nodes 0..n-1 are vertices, nodes n..n+m-1 are edges; an edge node's list
+    is the edge's own tuple of vertex positions.  The graph stays a
+    forest exactly while every edge node joins vertices of distinct
+    components, which a union-find over vertex positions tracks.
+    """
+    n = h.num_vertices
+    adj: list = [[] for _ in range(n)]
+    comp = list(range(n))
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    forest = True
+    for pos, key in enumerate(h.edge_index_tuples()):
+        enode = n + pos
+        for vi in key:
+            adj[vi].append(enode)
+        adj.append(key)
+        if forest:
+            roots = {find(vi) for vi in key}
+            forest = len(roots) == len(key)
+            top = roots.pop()
+            for other in roots:
+                comp[other] = top
+    return adj, forest
+
+
+def _scan_from_root_reference(
+    adj: list[Sequence[int]], root: int, bound: int, level: list[int], parent: list[int], base: int
+) -> tuple[int, int, int] | None:
+    """BFS from ``root`` for a closed walk shorter than ``bound``.
+
+    ``level`` and ``parent`` are shared by every root of one girth() call: a
+    node reached at depth d gets level ``base + d``, so levels below ``base``
+    are left over from earlier roots and count as unseen.  Expanding a node
+    at depth d closes walks of length 2d + 2 only (the incidence graph is
+    bipartite, and shorter closings were seen from the other end a layer
+    earlier), so the scan stops at the first layer with 2d + 2 >= bound.  In
+    the first layer that closes a walk it still finishes the layer and
+    returns (2d + 2, u, w) with u < w the smallest closing pair of nodes;
+    None if no layer closes one.
+    """
+    level[root] = base
+    parent[root] = -1
+    layer = [root]
+    depth = 0
+    while layer and 2 * depth + 2 < bound:
+        below = base + depth + 1
+        nxt: list[int] = []
+        closing: tuple[int, int] | None = None
+        for u in layer:
+            for w in adj[u]:
+                lw = level[w]
+                if lw < base:
+                    level[w] = below
+                    parent[w] = u
+                    nxt.append(w)
+                elif lw == below:
+                    pair = (u, w) if u < w else (w, u)
+                    if closing is None or pair < closing:
+                        closing = pair
+        if closing is not None:
+            return (2 * depth + 2, *closing)
+        layer = nxt
+        depth += 1
+    return None
+
+
+def girth_reference(h: Hypergraph, cap: int) -> GirthResult:
+    """Exact Berge girth up to ``cap``.
+
+    Returns the shortest cycle length with a certified witness when it is at
+    most ``cap``; ``infinite`` when the hypergraph is provably acyclic (its
+    incidence graph is a forest, found by a union-find while the adjacency
+    is built); ``at_least(cap + 1)`` otherwise.
+
+    Each vertex root costs one BFS, which stops at the first layer that
+    cannot close a walk shorter than the best so far (at most 2 * cap at the
+    start).  The witness is the cycle of the last root that improved the
+    best, closed by its smallest pair of nodes, and is read off that root's
+    BFS tree.
+    """
+    if cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
+    adj, forest = _incidence_adjacency_reference(h)
+    if forest:
+        return GirthResult(Girth.infinite(), None)
+
+    n = h.num_vertices
+    level = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    best = 2 * cap + 1
+    walk: list[int] = []
+    for root in range(n):
+        # a scan reaches depth cap at most, so each root gets cap + 1 levels
+        found = _scan_from_root_reference(adj, root, best, level, parent, root * (cap + 1))
+        if found is not None:
+            best, u, w = found
+            walk = _path_to(parent, u) + _path_to(parent, w)[::-1]
+            if best == 4:  # incidence cycles are even and >= 4; cannot improve
+                break
+    if not walk:
+        return GirthResult(Girth.at_least(cap + 1), None)
+    assert best % 2 == 0
+    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+
+
+# ---------------------------------------------------------------------------
 # Disjoint unions
 # ---------------------------------------------------------------------------
 
@@ -406,6 +527,40 @@ def random_hypergraph(
             break
         size = rng.randint(2, min(n, max_edge_size))
         edges.add(frozenset(rng.sample(range(n), size)))
+    return Hypergraph(range(n), sorted(tuple(sorted(e)) for e in edges))
+
+
+def sparse_hypergraph(rng: random.Random, max_vertices: int = 40) -> Hypergraph:
+    """A sparse hypergraph on at most ``max_vertices`` vertices with 0.2n to
+    1.6n edges of sizes 2 to 4: random edges on a random share of the
+    vertices, often a long Berge cycle through some of them, pendant trees
+    (each edge meets what came before in one vertex) and isolated vertices.
+    Most draws are linear (no two edges share two vertices), so that girth 2
+    does not swamp the longer cycles."""
+    n = rng.randint(4, max_vertices)
+    want = rng.randint(max(1, n // 5), 8 * n // 5)
+    linear = rng.random() < 0.7
+    order = rng.sample(range(n), n)
+    split = rng.randint(2, n)
+    dense, fresh = order[:split], order[split:]
+    touched = list(dense)
+    edges: set[frozenset[int]] = set()
+    if rng.random() < 0.5 and len(dense) >= 3:
+        ring = dense[: rng.randint(3, len(dense))]
+        for i, x in enumerate(ring):
+            edges.add(frozenset((ring[i - 1], x)))
+    for _ in range(4 * want):
+        if len(edges) >= want:
+            break
+        size = rng.choice((2, 2, 3, 3, 4))
+        if fresh and rng.random() < 0.4:
+            grown = [fresh.pop() for _ in range(min(size - 1, len(fresh)))]
+            edges.add(frozenset([rng.choice(touched), *grown]))
+            touched.extend(grown)
+        elif len(dense) >= size:
+            e = frozenset(rng.sample(dense, size))
+            if not linear or all(len(e & f) < 2 for f in edges):
+                edges.add(e)
     return Hypergraph(range(n), sorted(tuple(sorted(e)) for e in edges))
 
 

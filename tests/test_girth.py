@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from rmhyper.construct import build_part_rainbow_forced, supply_min_degree_girth
+from rmhyper.construct import build_factor, build_part_rainbow_forced, supply_min_degree_girth
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.girth import girth, girth_at_least
 from rmhyper.randgen import random_high_girth, random_search_unavoidable
@@ -15,8 +15,10 @@ from oracles import (
     berge_girth_bruteforce,
     count_cycles_bruteforce,
     count_overlapping_pairs,
+    girth_reference,
     random_graph,
     random_hypergraph,
+    sparse_hypergraph,
 )
 
 
@@ -172,6 +174,72 @@ class TestHubStar:
         res = girth(h, cap=6)
         assert res.witness.vertices == (0, 3, 1)
         res.witness.validate(h)
+
+
+class TestAgainstTheReferenceEngine:
+    """girth() scans only roots in the 2-core of the incidence graph and
+    removes each root after its scan; the engine that scanned every root
+    must give the same girth and the same witness."""
+
+    def test_sparse_corpus(self):
+        rng = random.Random(2828)
+        seen = set()
+        for _ in range(5000):
+            h = sparse_hypergraph(rng)
+            for cap in (2, 3, 4, 6, 9, 12):
+                got, want = girth(h, cap), girth_reference(h, cap)
+                assert str(got.girth) == str(want.girth), (h, cap)
+                assert got.witness == want.witness, (h, cap)
+                seen.add(str(want.girth))
+        assert {"infinite", ">=3", ">=13"} | {str(g) for g in range(2, 13)} <= seen
+
+
+class TestRootScans:
+    """Roots off the 2-core are never scanned, and a scanned root leaves the
+    core together with every node then left on no cycle.  The counts are
+    exact."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        module = importlib.import_module("rmhyper.girth")
+        roots = []
+        scan = module._scan_from_root
+
+        def counted(adj, root, *rest):
+            roots.append(root)
+            return scan(adj, root, *rest)
+
+        monkeypatch.setattr(module, "_scan_from_root", counted)
+        return roots
+
+    @pytest.mark.parametrize("g", [4, 5, 12, 2000])
+    def test_one_scan_for_a_cycle_beyond_the_cap(self, scans, g):
+        assert str(girth(cycle_graph(g), cap=g - 1).girth) == f">={g}"
+        assert scans == [0]
+
+    def test_no_root_is_removed_below_three_layers(self, scans):
+        # at cap 2 a scan reads only the root's edges and their vertices
+        assert str(girth(cycle_graph(3), cap=2).girth) == ">=3"
+        assert scans == [0, 1, 2]
+
+    def test_no_scan_for_a_forest(self, scans):
+        assert girth(hub_star(50, closing=False), cap=6).girth.kind == "infinite"
+        assert girth(Hypergraph(range(5), [(0, 1), (1, 2, 3)]), cap=3).girth.kind == "infinite"
+        assert scans == []
+
+    @pytest.mark.parametrize("cap, value", [(4, ">=5"), (8, "8")])
+    def test_five_scans_for_pr34(self, scans, cap, value):
+        pr = build_part_rainbow_forced(3, 4).base
+        scans.clear()  # the build checks its suppliers and itself
+        assert str(girth(pr, cap).girth) == value
+        assert len(scans) == 5
+
+    def test_hundred_scans_for_the_six_part_factor_of_pr34(self, scans):
+        factor = build_factor(build_part_rainbow_forced(3, 4), 6)
+        assert factor.num_vertices == 2400
+        scans.clear()
+        assert str(girth(factor, cap=4).girth) == ">=5"
+        assert len(scans) == 100
 
 
 def _witness_record(h, cap):
