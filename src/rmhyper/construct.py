@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations, product
 from math import comb, factorial, isqrt
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .core import (
     Hypergraph,
@@ -266,46 +266,45 @@ def _normalised(x: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(c * inverse % p for c in x)
 
 
-def _hyperplane(u: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
-    """The points x of PG(len(u) - 1, p) with u . x = 0, for a normalised u.
-    With u_j the leading 1, x is fixed by its other coordinates, which run
-    over the points of PG(len(u) - 2, p)."""
-    j = u.index(1)
-    rest = u[:j] + u[j + 1 :]
-    return [
-        _normalised((*a[:j], -sum(b * c for b, c in zip(a, rest)) % p, *a[j:]), p)
-        for a in _projective_points(len(u) - 1, p)
-    ]
+def _lines(dim: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every line of PG(dim - 1, p) once, as its reduced basis (x, y): y is a
+    point with its leading 1 at j, and x has its leading 1 at some i < j and
+    x_j = 0.  This is the line's 2 x dim basis in reduced row echelon form,
+    so every line has exactly one.  Each other point of the line is a x + b y
+    with a != 0, whose leading entry is a at i, so it is x + t y, t = b / a,
+    for exactly one t in F_p, and is normalised as it stands."""
+    for y in _projective_points(dim, p):
+        j = y.index(1)
+        for i in range(j):
+            for rest in product(range(p), repeat=dim - 2 - i):
+                yield (0,) * i + (1,) + rest[: j - i - 1] + (0,) + rest[j - i - 1 :], y
 
 
 def _polygon_incidence_graph(n: int, p: int) -> Hypergraph:
     """The incidence graph of a generalized n-gon of order (p, p), n in
     {2, 3, 4}: points 0..P-1, then lines P..2P-1.
 
-    n = 2: every point on every line.  n = 3: the plane PG(2, p), whose line
-    u holds the points x with u . x = 0.  n = 4: the quadrangle W(p), all
-    points of PG(3, p) with the lines through two points x, y on which the
-    symplectic form x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes.
+    n = 2: every point on every line.  n = 3: the plane PG(2, p), each line
+    at the place of its dual point u (u . x = 0 on it).  n = 4: the quadrangle
+    W(p): all points of PG(3, p) and, sorted, the lines of :func:`_lines` on
+    which the symplectic form x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes.
     """
     if n == 2:
         lines: list[Sequence[int]] = [range(p + 1)] * (p + 1)
-    elif n == 3:
-        points = _projective_points(3, p)
-        index = {x: i for i, x in enumerate(points)}
-        lines = [[index[x] for x in _hyperplane(u, p)] for u in points]
     else:
-        points = _projective_points(4, p)
+        points = _projective_points(n, p)
         index = {x: i for i, x in enumerate(points)}
-        found: set[tuple[int, ...]] = set()
-        for i, x in enumerate(points):
-            # the lines on x lie in the plane of the y with form(x, y) = 0,
-            # and each meets y_j = 0 (x_j the leading 1) in one point y
-            j = x.index(1)
-            for y in _hyperplane(_normalised((-x[1], x[0], -x[3], x[2]), p), p):
-                if y[j] == 0:
-                    span = (tuple((b + t * a) % p for a, b in zip(x, y)) for t in range(p))
-                    found.add(tuple(sorted([i, *(index[_normalised(z, p)] for z in span)])))
-        lines = sorted(found)
+        def on(x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+            span = (tuple((a + t * b) % p for a, b in zip(x, y)) for t in range(p))
+            return [index[y], *(index[z] for z in span)]
+        if n == 3:
+            lines = [()] * len(points)
+            for (x0, x1, x2), y in _lines(3, p):
+                u = (x1 * y[2] - x2 * y[1], x2 * y[0] - x0 * y[2], x0 * y[1] - x1 * y[0])
+                lines[index[_normalised(u, p)]] = on((x0, x1, x2), y)
+        else:
+            form = lambda x, y: x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
+            lines = sorted(sorted(on(x, y)) for x, y in _lines(4, p) if form(x, y) % p == 0)
     size = len(lines)
     edges = [(i, size + j) for j, line in enumerate(lines) for i in line]
     return Hypergraph(range(2 * size), edges)

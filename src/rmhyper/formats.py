@@ -10,18 +10,20 @@ instead of writing a document the loader would refuse.  The loader also
 refuses an edge or part that is not a JSON array, has a member of another
 type than a vertex id, or lists a vertex twice.
 
-Dumps are canonical: the text of ``json.dumps(to_json_dict(h, meta),
-sort_keys=True, indent=2)`` plus a newline, with each edge and part listed in
-canonical vertex order and edges sorted lexicographically by vertex position,
-so equal values serialise to identical bytes.  :func:`dumps` writes that text
-itself rather than through the pure-Python encoder that ``json`` uses for
-indented output: one call of the C encoder, with a newline as the item
-separator, encodes every vertex id (JSON text never holds a raw newline, so
-splitting on newlines gives each id's encoded text), and the ``edges``,
-``parts`` and ``vertices`` blocks are joined from those texts by vertex
-position.  ``meta`` goes through ``json.dumps`` with the same settings, two
-spaces deeper.  The loader re-runs full validation.  DOT export renders the
-bipartite incidence graph (vertex nodes vs edge nodes) and is one-way.
+Dumps are canonical.  The document lists the vertices in order, each edge
+and part in canonical vertex order, and the edges sorted lexicographically by
+vertex position; ``parts`` appears for a partite hypergraph and ``meta`` when
+given.  Its text is what ``json.dumps(doc, sort_keys=True, indent=2)`` writes,
+plus a newline, so equal values serialise to identical bytes.  :func:`dumps`
+writes that text itself rather than through the pure-Python encoder that
+``json`` uses for indented output: one call of the C encoder, with a newline
+as the item separator, encodes every vertex id (JSON text never holds a raw
+newline, so splitting on newlines gives each id's encoded text), and the
+``edges``, ``parts`` and ``vertices`` blocks are joined from those texts by
+vertex position.  ``meta`` goes through ``json.dumps`` with the same
+settings, two spaces deeper.  The loader re-runs full validation.  DOT export
+renders the bipartite incidence graph (vertex nodes vs edge nodes) and is
+one-way.
 """
 from __future__ import annotations
 
@@ -48,20 +50,6 @@ def _check_vertex_ids(ids: Sequence[VertexId]) -> None:
         clash = next((v for v in ids if type(v) is str and v in texts), None)
         if clash is not None:
             raise FormatError(f"vertex ids {int(clash)!r} and {clash!r} have the same text form")
-
-
-def to_json_dict(h: Hypergraph, meta: dict[str, Any] | None = None) -> dict[str, Any]:
-    """The document that :func:`dumps` writes, as a dict."""
-    vs = h.vertices
-    doc: dict[str, Any] = {
-        "vertices": list(vs),
-        "edges": [[vs[i] for i in key] for key in h.edge_index_tuples()],
-    }
-    if isinstance(h, PartiteHypergraph):
-        doc["parts"] = [list(p) for p in h.parts]
-    if meta is not None:
-        doc["meta"] = meta
-    return doc
 
 
 def _arrays(doc: dict[str, Any], key: str) -> list:
@@ -124,8 +112,8 @@ def _array(items: list[str], depth: int) -> str:
 
 
 def dumps(h: Hypergraph, meta: dict[str, Any] | None = None) -> str:
-    """The canonical document, byte for byte
-    ``json.dumps(to_json_dict(h, meta), sort_keys=True, indent=2) + "\\n"``."""
+    """The canonical document of ``h``, byte for byte what
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes for it."""
     vs = h.vertices
     _check_vertex_ids(vs)
     texts = json.dumps(vs, separators=("\n", ":"))[1:-1].split("\n") if vs else []

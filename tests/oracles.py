@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations, permutations
-from typing import Sequence
+from itertools import combinations, permutations, product
+from typing import Any, Sequence
 
 from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
-from rmhyper.formats import to_json_dict
 from rmhyper.girth import Girth, GirthResult, _path_to, _witness_from_walk
 from rmhyper.randgen import ThresholdResult, _subset_count, derive_seed
 
@@ -255,6 +254,20 @@ def closing_vertex_search(
 # ---------------------------------------------------------------------------
 
 
+def to_json_dict(h: Hypergraph, meta: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The canonical document of ``h`` as a dict."""
+    vs = h.vertices
+    doc: dict[str, Any] = {
+        "vertices": list(vs),
+        "edges": [[vs[i] for i in key] for key in h.edge_index_tuples()],
+    }
+    if isinstance(h, PartiteHypergraph):
+        doc["parts"] = [list(p) for p in h.parts]
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
+
+
 def dumps_reference(h: Hypergraph, meta=None) -> str:
     """The canonical document through the pure-Python indenting encoder."""
     return json.dumps(to_json_dict(h, meta), sort_keys=True, indent=2) + "\n"
@@ -482,6 +495,71 @@ def girth_reference(h: Hypergraph, cap: int) -> GirthResult:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
     return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+
+
+# ---------------------------------------------------------------------------
+# The generalized polygons before one line enumeration served both
+# ---------------------------------------------------------------------------
+
+
+def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
+    """The points of PG(dim - 1, p): the nonzero vectors of F_p^dim whose
+    first nonzero coordinate is 1, in lexicographic order."""
+    return [
+        (0,) * j + (1,) + rest
+        for j in reversed(range(dim))
+        for rest in product(range(p), repeat=dim - 1 - j)
+    ]
+
+
+def _normalised(x: tuple[int, ...], p: int) -> tuple[int, ...]:
+    inverse = pow(next(c for c in x if c), -1, p)
+    return tuple(c * inverse % p for c in x)
+
+
+def _hyperplane(u: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The points x of PG(len(u) - 1, p) with u . x = 0, for a normalised u.
+    With u_j the leading 1, x is fixed by its other coordinates, which run
+    over the points of PG(len(u) - 2, p)."""
+    j = u.index(1)
+    rest = u[:j] + u[j + 1 :]
+    return [
+        _normalised((*a[:j], -sum(b * c for b, c in zip(a, rest)) % p, *a[j:]), p)
+        for a in _projective_points(len(u) - 1, p)
+    ]
+
+
+def polygon_incidence_graph_reference(n: int, p: int) -> Hypergraph:
+    """The incidence graph of a generalized n-gon of order (p, p), n in
+    {2, 3, 4}: points 0..P-1, then lines P..2P-1.
+
+    n = 2: every point on every line.  n = 3: the plane PG(2, p), whose line
+    u holds the points x with u . x = 0.  n = 4: the quadrangle W(p), all
+    points of PG(3, p) with the lines through two points x, y on which the
+    symplectic form x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes.
+    """
+    if n == 2:
+        lines: list[Sequence[int]] = [range(p + 1)] * (p + 1)
+    elif n == 3:
+        points = _projective_points(3, p)
+        index = {x: i for i, x in enumerate(points)}
+        lines = [[index[x] for x in _hyperplane(u, p)] for u in points]
+    else:
+        points = _projective_points(4, p)
+        index = {x: i for i, x in enumerate(points)}
+        found: set[tuple[int, ...]] = set()
+        for i, x in enumerate(points):
+            # the lines on x lie in the plane of the y with form(x, y) = 0,
+            # and each meets y_j = 0 (x_j the leading 1) in one point y
+            j = x.index(1)
+            for y in _hyperplane(_normalised((-x[1], x[0], -x[3], x[2]), p), p):
+                if y[j] == 0:
+                    span = (tuple((b + t * a) % p for a, b in zip(x, y)) for t in range(p))
+                    found.add(tuple(sorted([i, *(index[_normalised(z, p)] for z in span)])))
+        lines = sorted(found)
+    size = len(lines)
+    edges = [(i, size + j) for j, line in enumerate(lines) for i in line]
+    return Hypergraph(range(2 * size), edges)
 
 
 # ---------------------------------------------------------------------------

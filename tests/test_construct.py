@@ -33,7 +33,7 @@ from rmhyper.core import Hypergraph, HypergraphError, PartiteHypergraph, complet
 from rmhyper.formats import dumps
 from rmhyper.girth import Girth, girth
 
-from oracles import random_partite
+from oracles import polygon_incidence_graph_reference, random_partite
 
 
 def _unreachable(*args):
@@ -312,6 +312,43 @@ class TestSupplier:
         limits = BuildLimits(max_vertices, max_edges)
         with pytest.raises(SupplierError, match="exceeds the limits"):
             supply_min_degree_girth(2, 8, 6, limits)
+
+
+
+_PRIMES_TO_23 = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+class TestGeneralizedPolygons:
+    @pytest.mark.parametrize(
+        "n, p", [(n, p) for n in (2, 3) for p in _PRIMES_TO_23] + [(4, p) for p in (2, 3, 5, 7)]
+    )
+    def test_same_labelled_graph_as_the_reference(self, n, p):
+        assert construct._polygon_incidence_graph(n, p) == polygon_incidence_graph_reference(n, p)
+
+    @pytest.mark.parametrize("n, p, calls", [(4, 5, 0), (4, 11, 0), (3, 5, 31)])
+    def test_normalisations(self, monkeypatch, n, p, calls):
+        # the plane normalises one dual point per line; the quadrangle's
+        # points come normalised from their reduced bases
+        seen = []
+        normalised = construct._normalised
+        monkeypatch.setattr(
+            construct, "_normalised", lambda x, p: seen.append(x) or normalised(x, p)
+        )
+        construct._polygon_incidence_graph(n, p)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("dim, p", [(3, 2), (3, 5), (4, 3), (5, 2)])
+    def test_every_line_once_from_its_reduced_basis(self, dim, p):
+        # (p^dim - 1)(p^(dim-1) - 1) / ((p^2 - 1)(p - 1)) lines, each with
+        # p + 1 normalised points, and no two lines share two points
+        points = set(construct._projective_points(dim, p))
+        lines = []
+        for x, y in construct._lines(dim, p):
+            line = frozenset([y, *(tuple((a + t * b) % p for a, b in zip(x, y)) for t in range(p))])
+            assert len(line) == p + 1 and line <= points
+            lines.append(line)
+        assert len(lines) == (p**dim - 1) * (p ** (dim - 1) - 1) // ((p * p - 1) * (p - 1))
+        assert all(len(a & b) <= 1 for a, b in combinations(lines, 2))
 
 
 class TestBuildPartRainbowForced:
