@@ -11,10 +11,12 @@ A :class:`Hypergraph` stores each edge once, as the sorted tuple of its
 vertex positions; the frozensets of vertex ids and the degrees are built
 from the tuples on first use.  The public constructor validates its input.
 ``without_edges`` keeps a subset of valid, sorted tuples, skips the
-validation and shares the vertex index with its parent.  Values are
-immutable after construction, and a lazily built cache holds the same tuple
-whichever thread builds it, so values are safe to share between concurrent
-workers without synchronisation.
+validation and shares the vertex index with its parent.  A hypergraph built
+on ``range(n)``, as the builders' results and the random carriers are,
+keeps no index dict: each vertex is its own position.  Values are immutable
+after construction, and a lazily built cache holds the same tuple whichever
+thread builds it, so values are safe to share between concurrent workers
+without synchronisation.
 """
 from __future__ import annotations
 
@@ -35,6 +37,29 @@ def validate_uniformity(r: int) -> int:
     if not isinstance(r, int) or r < 2:
         raise HypergraphError(f"uniformity must be an integer >= 2, got {r!r}")
     return r
+
+
+class _Positions:
+    """The vertex index of a hypergraph built on ``range(n)``, where each
+    vertex is its own position: it answers lookups and membership tests as
+    the dict ``{v: v for v in range(n)}`` would, in the space of one range."""
+
+    __slots__ = ("_range",)
+
+    def __init__(self, n: int) -> None:
+        self._range = range(n)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._range
+
+    def __getitem__(self, v: VertexId) -> int:
+        try:
+            return self._range.index(v)
+        except ValueError:
+            raise KeyError(v) from None
+
+
+_Index = dict[VertexId, int] | _Positions
 
 
 class Hypergraph:
@@ -60,11 +85,17 @@ class Hypergraph:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Iterable[VertexId]]):
         vs = tuple(vertices)
-        vindex: dict[VertexId, int] = {}
-        for v in vs:
-            if v in vindex:
-                raise HypergraphError(f"duplicate vertex {v!r}")
-            vindex[v] = len(vindex)
+        vindex: _Index
+        if isinstance(vertices, range) and vertices.start == 0 and vertices.step == 1:
+            vindex = _Positions(len(vs))
+            position = vertices.index
+        else:
+            vindex = {}
+            for v in vs:
+                if v in vindex:
+                    raise HypergraphError(f"duplicate vertex {v!r}")
+                vindex[v] = len(vindex)
+            position = vindex.__getitem__
 
         keys: set[tuple[int, ...]] = set()
         for raw in edges:
@@ -72,16 +103,17 @@ class Hypergraph:
             if len(edge) < 2:
                 raise HypergraphError(f"edge {sorted(map(repr, edge))} has fewer than 2 vertices")
             try:
-                key = tuple(sorted([vindex[v] for v in edge]))
-            except KeyError as exc:
-                raise HypergraphError(f"edge contains unknown vertex {exc.args[0]!r}") from None
+                key = tuple(sorted(map(position, edge)))
+            except (KeyError, ValueError):
+                unknown = next(v for v in edge if v not in vindex)
+                raise HypergraphError(f"edge contains unknown vertex {unknown!r}") from None
             if key in keys:
                 raise HypergraphError(f"duplicate edge {{{', '.join(map(repr, key))}}}")
             keys.add(key)
         self._adopt(vs, vindex, tuple(sorted(keys)))
 
     def _adopt(
-        self, vertices: tuple[VertexId, ...], vindex: dict[VertexId, int], keys: _Keys
+        self, vertices: tuple[VertexId, ...], vindex: _Index, keys: _Keys
     ) -> None:
         self._vertices = vertices
         self._vindex = vindex

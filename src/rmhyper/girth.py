@@ -19,6 +19,12 @@ three layers or more, where a removal is cheap beside them).  The witness is
 read off the BFS tree of the root that found the shortest, and it is the one
 a scan from every root would give (see :func:`girth`).
 
+:func:`delete_short_cycles` is the carrier deletion loop: it deletes the
+first edge of a shortest cycle until none is shorter than g, exactly as a
+girth() call after each deletion would choose, but it keeps one lower bound
+per vertex root across the deletions (a deletion never shortens a cycle), so
+a root is scanned again only while its bound is below the best cycle found.
+
 :func:`girth_at_least` is the one check of a "girth at least g"
 postcondition, used by the supplier, the builders and the random generators:
 g <= 2 holds without a scan, and any other g costs one scan with cap g - 1.
@@ -213,6 +219,51 @@ def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> C
     return witness
 
 
+def _shortest_walk(h: Hypergraph, cap: int, lower: list[int]) -> tuple[int, list[int]] | None:
+    """The scan of :func:`girth`: None if the 2-core left is empty, else the
+    shortest closing length below 2 * cap + 1 (or that bound) and its walk,
+    empty if no root closed one.
+
+    ``lower`` holds, for each vertex root, a lower bound on the length of the
+    shortest incidence cycle through it; all zero for a plain girth() call.
+    A root with a bound above 2 * cap is removed with the first peel, and a
+    root whose bound is at least the best so far is removed unscanned, since
+    its scan could close nothing.  Every scan stores what it learnt: the
+    length it closed, which is the shortest cycle through the root (see
+    :func:`girth`), or else the scan bound rounded up to an even length.
+    """
+    adj = _incidence_adjacency(h)
+    n = h.num_vertices
+    # a scan reaches depth cap at most, so each root gets cap + 1 levels
+    cut = n * (cap + 1)
+    level = [-1] * len(adj)
+    degree = list(map(len, adj))
+    best = 2 * cap + 1
+    # an edge node has at least two vertices, so only vertex nodes start below 2
+    _peel(adj, degree, level, cut, [x for x in range(n) if degree[x] < 2 or lower[x] > best])
+    if level.count(cut) == len(adj):
+        return None
+
+    parent = [-1] * len(adj)
+    walk: list[int] = []
+    for root in range(n):
+        if level[root] == cut:
+            continue
+        if lower[root] < best:
+            found = _scan_from_root(adj, root, best, level, parent, root * (cap + 1))
+            if found is not None:
+                best, u, w = found
+                lower[root] = best
+                walk = _path_to(parent, u) + _path_to(parent, w)[::-1]
+                if best == 4:  # incidence cycles are even and >= 4; cannot improve
+                    break
+            else:
+                lower[root] = best + best % 2
+        if best > 6:  # a shallower scan costs little more than the removal
+            _peel(adj, degree, level, cut, [root])
+    return best, walk
+
+
 def girth(h: Hypergraph, cap: int) -> GirthResult:
     """Exact Berge girth up to ``cap``.
 
@@ -245,39 +296,54 @@ def girth(h: Hypergraph, cap: int) -> GirthResult:
     in the layer before (two would close a shorter walk), so the nodes of
     these walks are reached at the same depths, from the same parents and
     in the same order with or without the removed nodes, and the scan
-    closes the same pairs and picks the same smallest.
+    closes the same pairs and picks the same smallest.  By the same
+    argument every cycle through a root that is shorter than its scan
+    bound is still in the core, so a scan that closes a walk closes the
+    shortest cycle through the root.
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    adj = _incidence_adjacency(h)
-    n = h.num_vertices
-    # a scan reaches depth cap at most, so each root gets cap + 1 levels
-    cut = n * (cap + 1)
-    level = [-1] * len(adj)
-    degree = list(map(len, adj))
-    # an edge node has at least two vertices, so only vertex nodes start below 2
-    _peel(adj, degree, level, cut, [x for x in range(n) if degree[x] < 2])
-    if level.count(cut) == len(adj):
+    found = _shortest_walk(h, cap, [0] * h.num_vertices)
+    if found is None:
         return GirthResult(Girth.infinite(), None)
-
-    parent = [-1] * len(adj)
-    best = 2 * cap + 1
-    walk: list[int] = []
-    for root in range(n):
-        if level[root] == cut:
-            continue
-        found = _scan_from_root(adj, root, best, level, parent, root * (cap + 1))
-        if found is not None:
-            best, u, w = found
-            walk = _path_to(parent, u) + _path_to(parent, w)[::-1]
-            if best == 4:  # incidence cycles are even and >= 4; cannot improve
-                break
-        if best > 6:  # a shallower scan costs little more than the removal
-            _peel(adj, degree, level, cut, [root])
+    best, walk = found
     if not walk:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
-    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, h.num_vertices, walk, best))
+
+
+def delete_short_cycles(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:
+    """Delete the first edge of a shortest cycle until no cycle is shorter
+    than ``g``; returns the hypergraph left and the number deleted.
+
+    Each deletion removes the edge of the witness that ``girth(h, g - 1)``
+    would give, so the result is the one of calling :func:`girth` after
+    every deletion.  One lower bound per vertex root is carried across the
+    deletions: the length of the shortest cycle through the root, or the
+    bound its last scan closed nothing below (lengths in the incidence
+    graph, twice those in the hypergraph).  A deletion only removes an
+    edge node and its links from the incidence graph, so no cycle through
+    a root gets shorter and every bound still holds.  A root whose bound
+    reaches 2g lies on no short cycle and is peeled before any scan; a root
+    whose bound is at least the best so far is removed as if scanned, since
+    its scan could close nothing shorter.  Neither changes the witness.  A
+    removed root lies on no cycle shorter than the best when it is removed,
+    so, as in :func:`girth`, no minimum cycle loses a node.  The first root
+    to reach the minimum has a bound at most the minimum, below the best so
+    far, so it is scanned, and it closes the same pair from the same BFS
+    tree.  Each witness is validated before its edge is deleted.
+    """
+    deleted = 0
+    if g <= 2:  # every hypergraph has girth at least 2
+        return h, deleted
+    n = h.num_vertices
+    lower = [0] * n
+    while (found := _shortest_walk(h, g - 1, lower)) is not None and found[1]:
+        best, walk = found
+        h = h.without_edges([_witness_from_walk(h, n, walk, best).edges[0]])
+        deleted += 1
+    return h, deleted
 
 
 def girth_at_least(h: Hypergraph, g: int) -> bool:

@@ -4,16 +4,19 @@ counting bound behind the randomized existence argument.
 The randomized proof has three steps, and each is a plain function over data
 the caller already holds.  :func:`random_high_girth` samples a fixed number
 of distinct R-subsets uniformly and deletes one edge from each short cycle
-until the girth target holds.  :func:`sample_subedges` draws one r-subset
-from each carrier edge's position tuple; the r-uniform hypergraph they span
-inherits the carrier's girth.  :func:`random_search_unavoidable` repeats
-both with R = (r-1)^2+1 and hands each result to the coloring solver until
-one is certified.  The counting bound is decided rather than re-proving
-the existence result, whose n is far beyond desk scale: both sides are
-evaluated in the standard library's decimal arithmetic from 30 digits, and
-the comparison stands once they differ by more than a proven error bound;
-otherwise the precision doubles up to 960 digits, where ArithmeticError is
-raised.  One exact search, from a decimal Newton root, finds the threshold.
+until the girth target holds (:func:`~rmhyper.girth.delete_short_cycles`),
+then re-checks the girth with a fresh scan.  :func:`sample_subedges` draws
+one r-subset from each carrier edge's position tuple; the r-uniform
+hypergraph they span inherits the carrier's girth.
+:func:`random_search_unavoidable` repeats both with R = (r-1)^2+1 and hands
+each result to the coloring solver until one is certified.  The counting
+bound is decided rather than re-proving the existence result, whose n is
+far beyond desk scale: both sides are evaluated in the standard library's
+decimal arithmetic from 30 digits, and the comparison stands once they
+differ by more than a proven error bound; otherwise the precision doubles
+up to 960 digits, where ArithmeticError is raised.  One exact search, from
+a decimal Newton root, finds the threshold, and its sides are reported at
+30 digits.
 """
 from __future__ import annotations
 
@@ -27,12 +30,13 @@ from math import ceil, comb, floor, inf, log, log2, log10
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import SIZE_CAP, BuildLimits, SizeEstimate, SizeLimitError
 from .core import Hypergraph, HypergraphError, comb_at_most, validate_uniformity
-from .girth import girth, girth_at_least
+from .girth import delete_short_cycles, girth_at_least
 
 DEFAULT_SAMPLES = 8
 DEFAULT_TRIES = 64
 DEFAULT_SEARCH_BUDGET = 2_000_000
-_MAX_DIGITS = 960  # the counting comparison's precision cap: 30 digits doubled five times
+_DIGITS = 30  # the counting comparison's first precision, and the reported sides'
+_MAX_DIGITS = 960  # its cap: 30 digits doubled five times
 
 
 def derive_seed(master: int, label: object) -> int:
@@ -117,13 +121,15 @@ def random_high_girth(
 
     Samples twice ceil(n^(1+1/g)) distinct edges without replacement (capped
     at the number of available edges), then repeatedly deletes the first edge
-    of a currently shortest cycle until no cycle shorter than g remains.  If
-    the surviving edge count misses the target ceil(n^(1+1/g)), fresh samples
-    are drawn up to ``samples`` times and the best attempt is returned.  At
-    desk scale the guarantee behind the target does not yet bind, so misses
-    are expected for small n.  More vertices than the default
-    ``BuildLimits().max_vertices``, or a sample of more edges than its
-    ``max_edges``, raises SizeLimitError before any edge is drawn.
+    of a currently shortest cycle until no cycle shorter than g remains
+    (:func:`~rmhyper.girth.delete_short_cycles`), and re-checks the girth
+    with a fresh scan.  If the surviving edge count misses the target
+    ceil(n^(1+1/g)), fresh samples are drawn up to ``samples`` times and the
+    best attempt is returned.  At desk scale the guarantee behind the target
+    does not yet bind, so misses are expected for small n.  More vertices
+    than the default ``BuildLimits().max_vertices``, or a sample of more
+    edges than its ``max_edges``, raises SizeLimitError before any edge is
+    drawn.
     """
     validate_uniformity(uniformity)
     if n < uniformity:
@@ -146,16 +152,7 @@ def random_high_girth(
         chosen: set[frozenset[int]] = set()
         while len(chosen) < m:
             chosen.add(frozenset(rng.sample(population, uniformity)))
-        h = Hypergraph(population, chosen)
-        deleted = 0
-        if g > 2:
-            while True:
-                res = girth(h, cap=g - 1)
-                if not res.girth.is_finite:
-                    break
-                assert res.witness is not None
-                h = h.without_edges([res.witness.edges[0]])
-                deleted += 1
+        h, deleted = delete_short_cycles(Hypergraph(population, chosen), g)
         if not girth_at_least(h, g):
             raise AssertionError("deletion loop failed to reach the girth target")
         sample = CarrierSample(
@@ -218,7 +215,7 @@ def _log_terms(a: int, dps: int) -> tuple[Decimal, Decimal]:
         return +terms[0], +terms[1]
 
 
-def _counting_sides(n: int, a: int, g: int, dps: int = 50) -> tuple[Decimal, Decimal]:
+def _counting_sides(n: int, a: int, g: int, dps: int) -> tuple[Decimal, Decimal]:
     """Both sides of the counting inequality in ``dps``-digit decimal
     arithmetic, with ln n taken once and n^(1/g) as exp(ln n / g)."""
     log_a1, slope = _log_terms(a, dps)
@@ -255,7 +252,7 @@ def counting_inequality_holds(n: int, r: int, g: int) -> bool:
     other sign gives the reverse; the test can pass only while rho < 1.
     """
     a = _subset_count(r)
-    dps = 30
+    dps = _DIGITS
     while True:
         (x, y), (z, w) = (side.as_integer_ratio() for side in _counting_sides(n, a, g, dps))
         lhs, rhs = x * w, z * y  # L = x/y and R = z/w, both times y w
@@ -307,7 +304,7 @@ def _newton_guess(a: int, g: int, n_max: int) -> int:
     integer n follow, in decimal at as many digits as n has plus 20, until
     one is below 1; f and f'(n) = (1 + 1/g) n^(1/g) s - ln n - 1 come from
     :func:`_counting_sides`: n^(1/g) s = rhs / n, ln n = (lhs - ln(a-1)) / n."""
-    s_a1 = Context().multiply(_log_terms(a, 30)[1], a - 1)  # near 1 for any a
+    s_a1 = Context().multiply(_log_terms(a, _DIGITS)[1], a - 1)  # near 1 for any a
     ln_s = log(float(s_a1)) - log(a - 1)
     t, last = 2 * g * (log(2 * g) - ln_s), inf  # above: ln t <= t/2g + ln 2g - 1
     while last - t > 1e-12 * t:
@@ -330,8 +327,10 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
 
     One exact search on :func:`counting_inequality_holds` starts from the
     bracket (guess - 1, guess) around :func:`_newton_guess`; the guess needs
-    no proof, since the search is correct from any bracket.  ArithmeticError
-    is raised when no n up to ``n_max`` satisfies the inequality.
+    no proof, since the search is correct from any bracket.  The sides are
+    reported as floats of the 30-digit evaluation every decision starts
+    from.  ArithmeticError is raised when no n up to ``n_max`` satisfies the
+    inequality.
     """
     _check_r(r)
     if g < 2:
@@ -347,7 +346,7 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
     n = _first_holding(lambda n: counting_inequality_holds(n, r, g), n_max, guess - 1, guess)
     if n is None:
         raise ArithmeticError(f"no satisfying n found below {n_max}")
-    lhs, rhs = _counting_sides(n, a, g)
+    lhs, rhs = _counting_sides(n, a, g, _DIGITS)
     return ThresholdResult(n=n, lhs=float(lhs), rhs=float(rhs), a=a)
 
 

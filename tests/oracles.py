@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from rmhyper.coloring import search_order
 from rmhyper.core import Hypergraph, PartiteHypergraph
-from rmhyper.girth import Girth, GirthResult, _path_to, _witness_from_walk
+from rmhyper.girth import Girth, GirthResult, _path_to, _witness_from_walk, girth
 from rmhyper.randgen import ThresholdResult, _subset_count, derive_seed
 
 
@@ -495,6 +495,22 @@ def girth_reference(h: Hypergraph, cap: int) -> GirthResult:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
     return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+
+
+def delete_short_cycles_reference(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:
+    """The carrier deletion loop before it carried per-root bounds: a fresh
+    girth() scan after every deletion, and the first edge of its witness
+    deleted."""
+    deleted = 0
+    if g > 2:
+        while True:
+            res = girth(h, cap=g - 1)
+            if not res.girth.is_finite:
+                break
+            assert res.witness is not None
+            h = h.without_edges([res.witness.edges[0]])
+            deleted += 1
+    return h, deleted
 
 
 # ---------------------------------------------------------------------------

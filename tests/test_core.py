@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +160,69 @@ class TestDerivedEqualsValidated:
         assert h.edge_position({"w", "z", "y"}) == 1
         assert h.edge_position({"y", "z"}) is None
         assert h.edge_position({"y", "q"}) is None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the kind and message, to compare two routes
+        return type(exc), str(exc)
+
+
+class TestRangeVertices:
+    """A hypergraph on ``range(n)`` keeps no vertex-index dict; it must
+    answer as the same hypergraph on a list of the same vertices."""
+
+    PROBES = (-1, 0, 1, True, False, 1.0, 2.5, "a", None, (0, 1), 10**20)
+
+    def test_same_value_and_answers(self):
+        rng = random.Random(1616)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            edges = [rng.sample(range(n), rng.randint(2, min(n, 4))) for _ in range(rng.randint(0, 8))]
+            edges = list({frozenset(e) for e in edges})
+            ranged, listed = Hypergraph(range(n), edges), Hypergraph(list(range(n)), edges)
+            _assert_same_value(ranged, listed)
+            for v in (*range(n + 1), *self.PROBES):
+                assert _outcome(lambda: ranged.index_of(v)) == _outcome(lambda: listed.index_of(v)), v
+                edge = {v, 0}
+                assert ranged.edge_position(edge) == listed.edge_position(edge), v
+            for e in edges:
+                assert ranged.edge_position(e) == listed.edge_position(e) is not None
+            assert ranged.without_edges(edges[:1]) == listed.without_edges(edges[:1])
+
+    def test_same_errors(self):
+        for edges in ([[0, 3]], [[0, -1]], [[1, 2.5]], [[True, 1.0]], [[0, "a"]], [[0, 1], [1, 0]]):
+            assert _outcome(lambda: Hypergraph(range(3), edges)) == _outcome(
+                lambda: Hypergraph([0, 1, 2], edges)
+            ), edges
+        # bool and float ids name the integer vertex they equal
+        assert Hypergraph(range(3), [[True, 2.0]]).edge_index_tuples() == ((1, 2),)
+
+    def test_same_parts(self):
+        for parts in ([(0, 2), (1,)], [(0, True), (2,)], [(0,), (1,)], [(0, 3), (1, 2)], [(0, 1), (1, 2)]):
+            ranged = _outcome(lambda: PartiteHypergraph(Hypergraph(range(3), [[0, 1]]), parts))
+            listed = _outcome(lambda: PartiteHypergraph(Hypergraph([0, 1, 2], [[0, 1]]), parts))
+            assert ranged == listed, parts
+
+    def test_keeps_no_index_dict(self):
+        # on range(n) the vertex tuple and its ints are all that is kept
+        # (774 KB); on a list the index dict and its position ints come on
+        # top (1,272 KB, the list's own ints not counted), and a range build
+        # that kept the dict too took 1,890 KB
+        listed = list(range(20_000))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ranged = Hypergraph(range(20_000), [(0, 1)])
+            middle = tracemalloc.get_traced_memory()[0]
+            indexed = Hypergraph(listed, [(0, 1)])
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ranged == indexed
+        assert middle - before < 0.7 * (after - middle)
 
 
 class TestUniformity:

@@ -6,15 +6,17 @@ from math import comb
 
 import pytest
 
+from rmhyper import randgen
 from rmhyper.construct import build_factor, build_part_rainbow_forced, supply_min_degree_girth
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
-from rmhyper.girth import girth, girth_at_least
+from rmhyper.girth import delete_short_cycles, girth, girth_at_least
 from rmhyper.randgen import random_high_girth, random_search_unavoidable
 
 from oracles import (
     berge_girth_bruteforce,
     count_cycles_bruteforce,
     count_overlapping_pairs,
+    delete_short_cycles_reference,
     girth_reference,
     random_graph,
     random_hypergraph,
@@ -194,23 +196,25 @@ class TestAgainstTheReferenceEngine:
         assert {"infinite", ">=3", ">=13"} | {str(g) for g in range(2, 13)} <= seen
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The roots of every ``_scan_from_root`` call, in order."""
+    module = importlib.import_module("rmhyper.girth")
+    roots = []
+    scan = module._scan_from_root
+
+    def counted(adj, root, *rest):
+        roots.append(root)
+        return scan(adj, root, *rest)
+
+    monkeypatch.setattr(module, "_scan_from_root", counted)
+    return roots
+
+
 class TestRootScans:
     """Roots off the 2-core are never scanned, and a scanned root leaves the
     core together with every node then left on no cycle.  The counts are
     exact."""
-
-    @pytest.fixture
-    def scans(self, monkeypatch):
-        module = importlib.import_module("rmhyper.girth")
-        roots = []
-        scan = module._scan_from_root
-
-        def counted(adj, root, *rest):
-            roots.append(root)
-            return scan(adj, root, *rest)
-
-        monkeypatch.setattr(module, "_scan_from_root", counted)
-        return roots
 
     @pytest.mark.parametrize("g", [4, 5, 12, 2000])
     def test_one_scan_for_a_cycle_beyond_the_cap(self, scans, g):
@@ -285,6 +289,45 @@ def test_pinned_carrier_deletions():
             sample = random_high_girth(*shape, seed, samples=1)
             runs.append((sample.hypergraph.edge_index_tuples(), sample.edges_deleted))
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == CARRIER_DIGEST
+
+
+class TestDeleteShortCycles:
+    """The deletion loop that carries per-root bounds across deletions must
+    delete the same edges as a fresh girth() scan after every deletion, and
+    scan fewer roots."""
+
+    def test_same_deletions_as_a_scan_per_deletion(self, monkeypatch):
+        rng = random.Random(3131)
+        cases = [
+            (rng.randint(big_r + 1, 30), big_r, g, rng.randrange(2**32), 1 + k % 2)
+            for big_r in range(2, 6)
+            for g in range(3, 8)
+            for k in range(6)
+        ]
+        got = [random_high_girth(n, big_r, g, seed, samples=s) for n, big_r, g, seed, s in cases]
+        monkeypatch.setattr(randgen, "delete_short_cycles", delete_short_cycles_reference)
+        want = [random_high_girth(n, big_r, g, seed, samples=s) for n, big_r, g, seed, s in cases]
+        assert got == want
+        assert sum(sample.edges_deleted for sample in want) > 4000
+
+    def test_below_girth_three_nothing_is_deleted(self):
+        h = complete_hypergraph(5, 3)
+        assert delete_short_cycles(h, 2) == (h, 0)
+
+    # root scans over ten seeds of each carrier workload shape, recheck included
+    SCANS = {(12, 5, 3): (579, 1006), (40, 3, 3): (2387, 19619), (30, 2, 4): (1470, 23115)}
+
+    @pytest.mark.parametrize("shape", list(SCANS))
+    def test_pinned_root_scans(self, monkeypatch, scans, shape):
+        counts = []
+        for loop in (delete_short_cycles, delete_short_cycles_reference):
+            monkeypatch.setattr(randgen, "delete_short_cycles", loop)
+            scans.clear()
+            for seed in range(10):
+                random_high_girth(*shape, seed, samples=1)
+            counts.append(len(scans))
+        assert tuple(counts) == self.SCANS[shape]
+        assert counts[0] < counts[1]
 
 
 class TestCountCycles:

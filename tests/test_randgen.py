@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import re
@@ -21,7 +22,7 @@ from rmhyper import randgen
 from rmhyper.coloring import Verdict, VerdictStatus, find_good_coloring
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
 from rmhyper.formats import dumps
-from rmhyper.girth import Girth, GirthResult, girth
+from rmhyper.girth import girth
 from rmhyper.randgen import (
     ceil_power,
     counting_inequality_holds,
@@ -175,9 +176,9 @@ class TestRandomHighGirth:
 
 class TestPostconditions:
     def test_deletion_loop_recheck_fires(self, monkeypatch):
-        # a scan that reports no cycle stops the deletion loop at once; the
-        # re-check runs its own scan and finds the sample's short cycles
-        monkeypatch.setattr(randgen, "girth", lambda h, cap: GirthResult(Girth.infinite(), None))
+        # a deletion loop that returns the sample untouched; the re-check
+        # runs its own scan and finds the sample's short cycles
+        monkeypatch.setattr(randgen, "delete_short_cycles", lambda h, g: (h, 0))
         with pytest.raises(AssertionError, match="deletion loop failed to reach the girth target"):
             random_high_girth(12, 5, 3, seed=1, samples=1)
 
@@ -329,10 +330,10 @@ class TestCountingThreshold:
 
     @staticmethod
     def exact_search(r, g, n_max=10**12):
-        # the same search on the library's own two-precision check
-        return counting_threshold_exact(
-            r, g, counting_inequality_holds, randgen._counting_sides, n_max=n_max
-        )
+        # the same search on the library's own check, reporting the sides at
+        # the 30 digits every decision starts from
+        sides = functools.partial(randgen._counting_sides, dps=30)
+        return counting_threshold_exact(r, g, counting_inequality_holds, sides, n_max=n_max)
 
     def check_matches_the_exact_search(self, r, g, n_max):
         try:
