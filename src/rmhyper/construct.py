@@ -40,6 +40,7 @@ from .core import (
     VertexId,
     comb_at_most,
     complete_hypergraph,
+    validate_girth,
     validate_uniformity,
 )
 from .girth import girth_at_least
@@ -351,7 +352,7 @@ def amalgamate(
     """
     if not 0 <= part_index < h.num_parts:
         raise HypergraphError(f"part index {part_index} out of range")
-    anchor = h.part(part_index)
+    anchor = h.parts[part_index]
     size = len(anchor)
     if size < 2:
         raise HypergraphError(f"part {part_index} has {size} vertices; need >= 2 to amalgamate")
@@ -378,7 +379,7 @@ def amalgamate(
         edges.extend([[at[i] for i in key] for key in keys])
         for j in range(h.num_parts):
             if j != part_index:
-                other_parts[j].extend(cmap[v] for v in h.part(j))
+                other_parts[j].extend(cmap[v] for v in h.parts[j])
 
     parts: list[Sequence[int]] = [
         tuple(range(nf)) if j == part_index else tuple(other_parts[j])
@@ -419,7 +420,7 @@ def complete_partite_factor(
         copy_maps.append(cmap)
         edges.extend([[offset + i for i in key] for key in keys])
         for k, target in enumerate(subset):
-            parts[target].extend(cmap[v] for v in f.part(k))
+            parts[target].extend(cmap[v] for v in f.parts[k])
         offset += nf
     result = PartiteHypergraph(Hypergraph(range(offset), edges), parts)
     actual = _Size(result.num_vertices, result.num_edges, result.part_sizes())
@@ -429,7 +430,7 @@ def complete_partite_factor(
 
 
 def supply_min_degree_girth(
-    ell: int, g: int, q: int, limits: BuildLimits | None = None
+    ell: int, g: int, q: int, limits: BuildLimits = BuildLimits()
 ) -> Hypergraph:
     """An ell-uniform hypergraph with girth >= g and minimum degree >= q.
 
@@ -444,11 +445,9 @@ def supply_min_degree_girth(
     raise :class:`SupplierError` before anything is built.
     """
     validate_uniformity(ell)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
+    validate_girth(g)
     if q < 1:
         raise ValueError(f"minimum degree must be >= 1, got {q}")
-    limits = limits or BuildLimits()
     try:
         size, build = _supplier(ell, g, q)
     except _Astronomical as exc:
@@ -477,7 +476,7 @@ class _Sizes:
     """Evaluates a recursion over cardinalities: every step returns its
     predicted size, and one past SIZE_CAP ends the evaluation."""
 
-    def __init__(self, limits: BuildLimits | None = None) -> None:
+    def __init__(self, limits: BuildLimits = BuildLimits()) -> None:
         self.limits = limits
         self.note = ""
 
@@ -525,7 +524,7 @@ def _pr_recursion(r: int, g: int, ops: _Sizes) -> Any:
 
 
 def _sweep(
-    ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: TraceNode | None
+    ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: TraceNode
 ) -> Any:
     """Amalgamate ``start`` along parts 0..a-1 in turn, with the
     ``size``-uniform ``base_for_part(j, size)`` at step j: the inner loop of
@@ -538,9 +537,8 @@ def _sweep(
             _amalgam_size(current, j, base), f"sweep step {j + 1}",
             lambda: amalgamate(current, j, base)[0],
         )
-        if trace is not None:
-            info = {"part": j, "part_size": size, "copies": base.num_edges, **_shape_info(current)}
-            trace.children.append(TraceNode("amalgamate", info))
+        info = {"part": j, "part_size": size, "copies": base.num_edges, **_shape_info(current)}
+        trace.children.append(TraceNode("amalgamate", info))
     return current
 
 
@@ -572,8 +570,7 @@ def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, TraceNode]:
 
 def _estimate(r: int, g: int, recursion: Callable[[_Sizes], Any]) -> SizeEstimate:
     validate_uniformity(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
+    validate_girth(g)
     sizes = _Sizes()
     try:
         result = recursion(sizes)
@@ -607,7 +604,7 @@ def base_rainbow_path() -> PartiteHypergraph:
 
 
 def build_part_rainbow_forced(
-    r: int, g: int, limits: BuildLimits | None = None
+    r: int, g: int, limits: BuildLimits = BuildLimits()
 ) -> PartiteHypergraph:
     """The r-uniform r-partite part-rainbow-forced hypergraph of girth >= g.
 
@@ -618,7 +615,6 @@ def build_part_rainbow_forced(
     anything, when the predicted size exceeds the limits, and with a
     SupplierError when the table has no supplier for a step.
     """
-    limits = limits or BuildLimits()
     what = f"part-rainbow-forced recursion for r={r}, g={g}"
     _refuse_beyond(estimate_pr_size(r, g), what, limits)
     pr = _pr_recursion(r, g, _Build(limits))
@@ -627,7 +623,7 @@ def build_part_rainbow_forced(
 
 
 def build_factor(
-    p: PartiteHypergraph, a: int, limits: BuildLimits | None = None
+    p: PartiteHypergraph, a: int, limits: BuildLimits = BuildLimits()
 ) -> PartiteHypergraph:
     """:func:`complete_partite_factor` of ``p`` into ``a`` parts, estimate-first:
     refuses with a SizeLimitError, before building anything, when its C(a, r)
@@ -639,12 +635,12 @@ def build_factor(
     estimate = SizeEstimate(*counts, False)
     if max(counts) > SIZE_CAP:
         estimate = SizeEstimate(None, None, True, f"over {SIZE_CAP:.0e} copies, vertices or edges")
-    _refuse_beyond(estimate, f"complete partite factor with {a} parts", limits or BuildLimits())
+    _refuse_beyond(estimate, f"complete partite factor with {a} parts", limits)
     return complete_partite_factor(p, a)[0]
 
 
 def build_rm_unavoidable(
-    r: int, g: int, limits: BuildLimits | None = None
+    r: int, g: int, limits: BuildLimits = BuildLimits()
 ) -> tuple[Hypergraph, TraceNode]:
     """An r-uniform hypergraph of girth >= g in which every vertex coloring
     has a monochromatic or rainbow edge.
@@ -658,7 +654,6 @@ def build_rm_unavoidable(
     size.  Estimate-first, like :func:`build_part_rainbow_forced`; beyond the
     base cases the sizes are astronomical.
     """
-    limits = limits or BuildLimits()
     what = f"rm-unavoidable recursion for r={r}, g={g}"
     _refuse_beyond(estimate_h_size(r, g), what, limits)
     final, trace = _h_recursion(r, g, _Build(limits))

@@ -39,6 +39,12 @@ def validate_uniformity(r: int) -> int:
     return r
 
 
+def validate_girth(g: int) -> None:
+    """Check that ``g`` is a legal girth target (at least 2)."""
+    if g < 2:
+        raise ValueError(f"girth target must be >= 2, got {g}")
+
+
 class _Positions:
     """The vertex index of a hypergraph built on ``range(n)``, where each
     vertex is its own position: it answers lookups and membership tests as
@@ -276,9 +282,6 @@ class PartiteHypergraph(Hypergraph):
     @property
     def num_parts(self) -> int:
         return len(self._parts)
-
-    def part(self, i: int) -> tuple[VertexId, ...]:
-        return self._parts[i]
 
     def part_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self._parts)

@@ -24,6 +24,8 @@ first edge of a shortest cycle until none is shorter than g, exactly as a
 girth() call after each deletion would choose, but it keeps one lower bound
 per vertex root across the deletions (a deletion never shortens a cycle), so
 a root is scanned again only while its bound is below the best cycle found.
+The bounds only choose which roots to scan: roots leave the core under the
+one rule above, in the deletion loop as in girth().
 
 :func:`girth_at_least` is the one check of a "girth at least g"
 postcondition, used by the supplier, the builders and the random generators:
@@ -226,11 +228,12 @@ def _shortest_walk(h: Hypergraph, cap: int, lower: list[int]) -> tuple[int, list
 
     ``lower`` holds, for each vertex root, a lower bound on the length of the
     shortest incidence cycle through it; all zero for a plain girth() call.
-    A root with a bound above 2 * cap is removed with the first peel, and a
-    root whose bound is at least the best so far is removed unscanned, since
-    its scan could close nothing.  Every scan stores what it learnt: the
-    length it closed, which is the shortest cycle through the root (see
-    :func:`girth`), or else the scan bound rounded up to an even length.
+    It is read only to choose which roots to scan: a root whose bound is at
+    least the best so far is skipped, since its scan could close nothing,
+    and it is removed under the same rule as a scanned root.  Every scan
+    stores what it learnt: the length it closed, which is the shortest cycle
+    through the root (see :func:`girth`), or else the scan bound rounded up
+    to an even length.
     """
     adj = _incidence_adjacency(h)
     n = h.num_vertices
@@ -240,7 +243,7 @@ def _shortest_walk(h: Hypergraph, cap: int, lower: list[int]) -> tuple[int, list
     degree = list(map(len, adj))
     best = 2 * cap + 1
     # an edge node has at least two vertices, so only vertex nodes start below 2
-    _peel(adj, degree, level, cut, [x for x in range(n) if degree[x] < 2 or lower[x] > best])
+    _peel(adj, degree, level, cut, [x for x in range(n) if degree[x] < 2])
     if level.count(cut) == len(adj):
         return None
 
@@ -324,15 +327,15 @@ def delete_short_cycles(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:
     bound its last scan closed nothing below (lengths in the incidence
     graph, twice those in the hypergraph).  A deletion only removes an
     edge node and its links from the incidence graph, so no cycle through
-    a root gets shorter and every bound still holds.  A root whose bound
-    reaches 2g lies on no short cycle and is peeled before any scan; a root
-    whose bound is at least the best so far is removed as if scanned, since
-    its scan could close nothing shorter.  Neither changes the witness.  A
-    removed root lies on no cycle shorter than the best when it is removed,
-    so, as in :func:`girth`, no minimum cycle loses a node.  The first root
-    to reach the minimum has a bound at most the minimum, below the best so
-    far, so it is scanned, and it closes the same pair from the same BFS
-    tree.  Each witness is validated before its edge is deleted.
+    a root gets shorter and every bound still holds.  The bounds only choose
+    which roots to scan: a root whose bound is at least the best so far is
+    skipped, since its scan could close nothing shorter, and it is removed
+    under the same rule as a scanned root.  This does not change the
+    witness.  A removed root lies on no cycle shorter than the best when it
+    is removed, so, as in :func:`girth`, no minimum cycle loses a node.  The
+    first root to reach the minimum has a bound at most the minimum, below
+    the best so far, so it is scanned, and it closes the same pair from the
+    same BFS tree.  Each witness is validated before its edge is deleted.
     """
     deleted = 0
     if g <= 2:  # every hypergraph has girth at least 2

@@ -29,7 +29,7 @@ from math import ceil, comb, floor, inf, log, log2, log10
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
 from .construct import SIZE_CAP, BuildLimits, SizeEstimate, SizeLimitError
-from .core import Hypergraph, HypergraphError, comb_at_most, validate_uniformity
+from .core import Hypergraph, HypergraphError, comb_at_most, validate_girth, validate_uniformity
 from .girth import delete_short_cycles, girth_at_least
 
 DEFAULT_SAMPLES = 8
@@ -134,8 +134,7 @@ def random_high_girth(
     validate_uniformity(uniformity)
     if n < uniformity:
         raise HypergraphError(f"need n >= {uniformity} vertices, got {n}")
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
+    validate_girth(g)
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
@@ -333,8 +332,7 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
     inequality.
     """
     _check_r(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
+    validate_girth(g)
     # With a - 1 >= n_max^(1/g) no n <= n_max satisfies the inequality: its
     # right side is at most n^(1+1/g) / (a-1) <= n, below n ln n + ln(a-1).
     # Decided without computing a, which has millions of digits at huge r.
@@ -379,8 +377,7 @@ def random_search_unavoidable(
     re-verified: girth at least g and an exhausted good-coloring search.
     """
     _check_r(r)
-    if g < 2:
-        raise ValueError(f"girth target must be >= 2, got {g}")
+    validate_girth(g)
     carrier_uniformity = (r - 1) ** 2 + 1
     if n < carrier_uniformity:
         raise ValueError(f"need n >= {carrier_uniformity} vertices, got {n}")

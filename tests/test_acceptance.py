@@ -169,11 +169,11 @@ def test_criterion_07_amalgamation_identities():
     done = 0
     while done < 200:
         h = random_partite(rng)
-        anchors = [i for i in range(h.num_parts) if len(h.part(i)) >= 2]
+        anchors = [i for i in range(h.num_parts) if len(h.parts[i]) >= 2]
         if not anchors or not h.num_edges:
             continue
         i = rng.choice(anchors)
-        k = len(h.part(i))
+        k = len(h.parts[i])
         nf = rng.randint(k, k + 2)
         pool = list(combinations(range(nf), k))
         f = Hypergraph(range(nf), rng.sample(pool, rng.randint(1, min(4, len(pool)))))

@@ -105,20 +105,20 @@ class TestAmalgamate:
         done = 0
         while done < 40:
             h = random_partite(rng)
-            anchors = [i for i in range(h.num_parts) if len(h.part(i)) >= 2]
+            anchors = [i for i in range(h.num_parts) if len(h.parts[i]) >= 2]
             if not anchors or not h.num_edges:
                 continue
             i = rng.choice(anchors)
-            k = len(h.part(i))
+            k = len(h.parts[i])
             nf = rng.randint(k, k + 2)
             pool = list(combinations(range(nf), k))
             f = Hypergraph(range(nf), rng.sample(pool, rng.randint(1, min(4, len(pool)))))
             result, maps = amalgamate(h, i, f)
             assert result.num_edges == f.num_edges * h.num_edges
-            assert len(result.part(i)) == f.num_vertices
+            assert len(result.parts[i]) == f.num_vertices
             for j in range(h.num_parts):
                 if j != i:
-                    assert len(result.part(j)) == f.num_edges * len(h.part(j))
+                    assert len(result.parts[j]) == f.num_edges * len(h.parts[j])
             # every copy embeds its edges
             edge_set = set(result.edges)
             for m in maps:
@@ -137,11 +137,11 @@ class TestAmalgamate:
         done = 0
         while done < 40:
             h = random_partite(rng)
-            anchors = [i for i in range(h.num_parts) if len(h.part(i)) >= 2]
+            anchors = [i for i in range(h.num_parts) if len(h.parts[i]) >= 2]
             if not anchors or not h.num_edges:
                 continue
             i = rng.choice(anchors)
-            k = len(h.part(i))
+            k = len(h.parts[i])
             nf = rng.randint(k, k + 2)
             pool = list(combinations(range(nf), k))
             f = Hypergraph(range(nf), rng.sample(pool, rng.randint(1, min(4, len(pool)))))
@@ -181,7 +181,7 @@ class TestCompletePartiteFactor:
         f = base_rainbow_path()
         a = 4
         result, maps = complete_partite_factor(f, a)
-        part_sets = [set(result.part(p)) for p in range(a)]
+        part_sets = [set(result.parts[p]) for p in range(a)]
         copy_vertex_sets = [set(m.values()) for m in maps]
         for subset in combinations(range(a), f.num_parts):
             union = set().union(*(part_sets[p] for p in subset))

@@ -304,6 +304,8 @@ class TestDeleteShortCycles:
             for g in range(3, 8)
             for k in range(6)
         ]
+        # cap 2 on the carrier shapes, where most roots' bounds rule them out
+        cases += [(n, 3, 3, rng.randrange(2**32), 1) for n in (40, 60) for _ in range(4)]
         got = [random_high_girth(n, big_r, g, seed, samples=s) for n, big_r, g, seed, s in cases]
         monkeypatch.setattr(randgen, "delete_short_cycles", delete_short_cycles_reference)
         want = [random_high_girth(n, big_r, g, seed, samples=s) for n, big_r, g, seed, s in cases]
@@ -315,7 +317,7 @@ class TestDeleteShortCycles:
         assert delete_short_cycles(h, 2) == (h, 0)
 
     # root scans over ten seeds of each carrier workload shape, recheck included
-    SCANS = {(12, 5, 3): (579, 1006), (40, 3, 3): (2387, 19619), (30, 2, 4): (1470, 23115)}
+    SCANS = {(12, 5, 3): (588, 1006), (40, 3, 3): (2434, 19619), (30, 2, 4): (1470, 23115)}
 
     @pytest.mark.parametrize("shape", list(SCANS))
     def test_pinned_root_scans(self, monkeypatch, scans, shape):
