@@ -10,7 +10,7 @@ the three-valued verdicts so shell pipelines can branch on them:
 * 1 - property holds (search exhausted) / girth infinite
 * 2 - budget or cap exceeded
 * 3 - bad input (unreadable inputs, unwritable outputs, formats, arguments)
-* 4 - size limit refusal / supplier failure
+* 4 - size limit refusal / no supplier in the table
 * 5 - unexpected internal error (a crash is never reported as a verdict)
 
 Artifacts embed the full parameters under "meta", so rerunning the recorded
@@ -168,9 +168,8 @@ def _cmd_girth(args: argparse.Namespace) -> int:
     result = girth(h, cap=args.cap)
     report: dict[str, Any] = {"girth": str(result.girth), "cap": args.cap}
     if args.witness and result.witness is not None:
-        order = {v: i for i, v in enumerate(h.vertices)}
         report["witness"] = {
-            "edges": [sorted(e, key=order.__getitem__) for e in result.witness.edges],
+            "edges": [sorted(e, key=h.index_of) for e in result.witness.edges],
             "vertices": list(result.witness.vertices),
         }
     _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", args.output)

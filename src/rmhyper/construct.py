@@ -8,16 +8,19 @@ fixed table of deterministic hypergraphs: complete hypergraphs for girth 2
 (and complete graphs for girth 3), the incidence graphs of K_{q,q}, the plane
 PG(2, q-1) and the quadrangle W(q-1) for graphs up to girth 8, and cycles for
 graphs of minimum degree at most 2.  Inputs outside the table are refused
-before any work, so every build is deterministic and every estimate exact.
+with a SupplierError before any work, so every build is deterministic and
+every estimate exact.
 
 Each recursion is written once, as steps that pair a block's cardinality
 identity with its builder, and evaluated two ways: over sizes (exact integers,
 or an astronomical marker past ``SIZE_CAP``) for the estimates, and over
 hypergraphs for the builders.  The builders and :func:`build_factor` are
 estimate-first: each refuses once, before it materialises anything, when its
-estimate exceeds the hard limits.  No step can pass them after that, as no
-block's output is smaller than its inputs: an amalgam has f.m (h.n - s) +
-f.n >= h.n vertices, a factor C(a, r) >= 1 copies; markers add vertices.
+estimate exceeds the hard limits, at the one size gate that the supplier and
+the random carrier share, :meth:`BuildLimits.refuse_beyond`.  No step can
+pass the limits after that, as no block's output is smaller than its inputs:
+an amalgam has f.m (h.n - s) + f.n >= h.n vertices, a factor C(a, r) >= 1
+copies; markers add vertices.
 Blocks and builders re-verify their structural postconditions so corrupted
 inputs fail fast; the supplier and both builders check girth with
 :func:`~rmhyper.girth.girth_at_least`, on outputs of every size.
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations, product
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, log10
 from typing import Any, Callable, Iterator, Sequence
 
 from .core import (
@@ -57,6 +60,20 @@ class BuildLimits:
         if self.max_vertices <= 0 or self.max_edges <= 0:
             raise ValueError("limits must be positive")
 
+    def refuse_beyond(self, estimate: SizeEstimate, what: str) -> None:
+        """The one size gate: raise SizeLimitError, with ``estimate``
+        attached, when it is astronomical or past these limits.  An estimate
+        without an edge count is checked on its vertices only."""
+        if not estimate.astronomical and estimate.vertices <= self.max_vertices:
+            if estimate.edges is None or estimate.edges <= self.max_edges:
+                return
+        note = f": {estimate.note}" if estimate.note else ""
+        raise SizeLimitError(
+            f"{what} exceeds the limits ({self.max_vertices} vertices / "
+            f"{self.max_edges} edges){note}",
+            estimate,
+        )
+
 
 @dataclass(frozen=True)
 class SizeEstimate:
@@ -67,10 +84,15 @@ class SizeEstimate:
     astronomical: bool
     note: str = ""
 
-    def within(self, limits: BuildLimits) -> bool:
-        if self.astronomical or self.vertices is None or self.edges is None:
-            return False
-        return self.vertices <= limits.max_vertices and self.edges <= limits.max_edges
+    @classmethod
+    def of(cls, vertices: int, edges: int | None = None, beyond: str = "") -> SizeEstimate:
+        """Exact counts as an estimate.  Past ``SIZE_CAP`` it is astronomical,
+        noted as ``beyond`` or else by the count's digit count: str() refuses
+        an integer of more than 4300 digits."""
+        for count, unit in ((vertices, "vertices"), (edges or 0, "edges")):
+            if count > SIZE_CAP:
+                return cls(None, None, True, beyond or f"~10^{log10(count):.0f} {unit}")
+        return cls(vertices, edges, False)
 
 
 class SizeLimitError(RuntimeError):
@@ -89,7 +111,8 @@ class _Astronomical(SizeLimitError):
 
 
 class SupplierError(RuntimeError):
-    """No supplier in the table serves the inputs within the limits."""
+    """No row of the supplier table serves the inputs; size refusals are
+    SizeLimitError."""
 
 
 @dataclass
@@ -441,22 +464,17 @@ def supply_min_degree_girth(
     cycle C_g for graphs with q <= 2.  The output is deterministic and
     re-verified before return: its size against the table's, then uniformity,
     minimum degree, and girth by :func:`~rmhyper.girth.girth_at_least`.
-    Inputs outside the table, and suppliers beyond the limits or ``SIZE_CAP``,
-    raise :class:`SupplierError` before anything is built.
+    Inputs outside the table raise :class:`SupplierError`, and suppliers
+    beyond the limits or ``SIZE_CAP`` raise :class:`SizeLimitError`, before
+    anything is built.
     """
     validate_uniformity(ell)
     validate_girth(g)
     if q < 1:
         raise ValueError(f"minimum degree must be >= 1, got {q}")
-    try:
-        size, build = _supplier(ell, g, q)
-    except _Astronomical as exc:
-        raise SupplierError(f"supplier for ell={ell}, g={g}, q={q}: {exc}") from None
-    if size.num_vertices > limits.max_vertices or size.num_edges > limits.max_edges:
-        raise SupplierError(
-            f"supplier for ell={ell}, g={g}, q={q} exceeds the limits "
-            f"({limits.max_vertices} vertices / {limits.max_edges} edges)"
-        )
+    size, build = _supplier(ell, g, q)
+    estimate = SizeEstimate.of(size.num_vertices, size.num_edges)
+    limits.refuse_beyond(estimate, f"supplier for ell={ell}, g={g}, q={q}")
     h = build()
     if (h.num_vertices, h.num_edges) != (size.num_vertices, size.num_edges):
         raise AssertionError("supplier output differs from its table size")
@@ -491,16 +509,6 @@ class _Build(_Sizes):
 
     def step(self, size: _Size, where: str, build: Callable[[], Any]) -> Any:
         return build()
-
-
-def _refuse_beyond(estimate: SizeEstimate, what: str, limits: BuildLimits) -> None:
-    if not estimate.within(limits):
-        note = f": {estimate.note}" if estimate.note else ""
-        raise SizeLimitError(
-            f"{what} exceeds the limits ({limits.max_vertices} vertices / "
-            f"{limits.max_edges} edges){note}",
-            estimate,
-        )
 
 
 def _shape_info(x: Any) -> dict:
@@ -616,7 +624,7 @@ def build_part_rainbow_forced(
     SupplierError when the table has no supplier for a step.
     """
     what = f"part-rainbow-forced recursion for r={r}, g={g}"
-    _refuse_beyond(estimate_pr_size(r, g), what, limits)
+    limits.refuse_beyond(estimate_pr_size(r, g), what)
     pr = _pr_recursion(r, g, _Build(limits))
     _verify(pr, r, g)
     return pr
@@ -631,11 +639,11 @@ def build_factor(
     each of the ``a`` output part lists as one more, so an input without
     vertices is not free.  A count past ``SIZE_CAP`` is astronomical."""
     copies = comb_at_most(a, p.num_parts, SIZE_CAP + 1)
-    counts = (copies * max(p.num_vertices, 1) + a, copies * p.num_edges)
-    estimate = SizeEstimate(*counts, False)
-    if max(counts) > SIZE_CAP:
-        estimate = SizeEstimate(None, None, True, f"over {SIZE_CAP:.0e} copies, vertices or edges")
-    _refuse_beyond(estimate, f"complete partite factor with {a} parts", limits)
+    estimate = SizeEstimate.of(
+        copies * max(p.num_vertices, 1) + a, copies * p.num_edges,
+        f"over {SIZE_CAP:.0e} copies, vertices or edges",
+    )
+    limits.refuse_beyond(estimate, f"complete partite factor with {a} parts")
     return complete_partite_factor(p, a)[0]
 
 
@@ -655,7 +663,7 @@ def build_rm_unavoidable(
     base cases the sizes are astronomical.
     """
     what = f"rm-unavoidable recursion for r={r}, g={g}"
-    _refuse_beyond(estimate_h_size(r, g), what, limits)
+    limits.refuse_beyond(estimate_h_size(r, g), what)
     final, trace = _h_recursion(r, g, _Build(limits))
     _verify(final, r, g)
     return final, trace

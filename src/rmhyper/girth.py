@@ -203,7 +203,7 @@ def _path_to(parent: list[int], node: int) -> list[int]:
     return out
 
 
-def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> CycleWitness:
+def _witness_from_walk(h: Hypergraph, walk: list[int], target: int) -> CycleWitness:
     # The walk root -> u, w -> root is already a cycle: had the two tree paths
     # met below the root, their lowest common node would close a shorter one.
     # It starts at the root, a vertex node, so vertex and edge nodes alternate
@@ -212,7 +212,7 @@ def _witness_from_walk(h: Hypergraph, n: int, walk: list[int], target: int) -> C
     assert len(set(cycle)) == len(cycle) == target, "closing walk is not a simple cycle"
     vertex_nodes = cycle[0::2]
     edge_nodes = cycle[1::2]
-    vs, keys = h.vertices, h.edge_index_tuples()
+    vs, keys, n = h.vertices, h.edge_index_tuples(), h.num_vertices
     vertices = tuple(vs[i] for i in vertex_nodes)
     edges = tuple(frozenset([vs[i] for i in keys[e - n]]) for e in edge_nodes)
     g = len(vertices)
@@ -313,7 +313,7 @@ def girth(h: Hypergraph, cap: int) -> GirthResult:
     if not walk:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
-    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, h.num_vertices, walk, best))
+    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, walk, best))
 
 
 def delete_short_cycles(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:
@@ -340,11 +340,10 @@ def delete_short_cycles(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:
     deleted = 0
     if g <= 2:  # every hypergraph has girth at least 2
         return h, deleted
-    n = h.num_vertices
-    lower = [0] * n
+    lower = [0] * h.num_vertices
     while (found := _shortest_walk(h, g - 1, lower)) is not None and found[1]:
         best, walk = found
-        h = h.without_edges([_witness_from_walk(h, n, walk, best).edges[0]])
+        h = h.without_edges([_witness_from_walk(h, walk, best).edges[0]])
         deleted += 1
     return h, deleted
 

@@ -5,7 +5,8 @@ The randomized proof has three steps, and each is a plain function over data
 the caller already holds.  :func:`random_high_girth` samples a fixed number
 of distinct R-subsets uniformly and deletes one edge from each short cycle
 until the girth target holds (:func:`~rmhyper.girth.delete_short_cycles`),
-then re-checks the girth with a fresh scan.  :func:`sample_subedges` draws
+then re-checks the girth with a fresh scan; its vertex count and sample
+size pass the builders' size gate first.  :func:`sample_subedges` draws
 one r-subset from each carrier edge's position tuple; the r-uniform
 hypergraph they span inherits the carrier's girth.
 :func:`random_search_unavoidable` repeats both with R = (r-1)^2+1 and hands
@@ -25,10 +26,10 @@ import random
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
-from math import ceil, comb, floor, inf, log, log2, log10
+from math import ceil, comb, floor, inf, log, log2
 
 from .coloring import Verdict, VerdictStatus, find_good_coloring
-from .construct import SIZE_CAP, BuildLimits, SizeEstimate, SizeLimitError
+from .construct import BuildLimits, SizeEstimate
 from .core import Hypergraph, HypergraphError, comb_at_most, validate_girth, validate_uniformity
 from .girth import delete_short_cycles, girth_at_least
 
@@ -96,19 +97,6 @@ class CarrierSample:
     edges_deleted: int
 
 
-def _refuse_count(what: str, count: int, unit: str, limit: int, estimate: SizeEstimate) -> None:
-    """Raise SizeLimitError if ``count`` exceeds ``limit``.  Past SIZE_CAP the
-    message gives a digit count, since ``count`` may have more digits than
-    str() prints, and the estimate is astronomical."""
-    if count <= limit:
-        return
-    if count > SIZE_CAP:
-        size, estimate = f"~10^{log10(count):.0f}", SizeEstimate(None, None, True)
-    else:
-        size = str(count)
-    raise SizeLimitError(f"{what} {size} {unit} exceeds the limit of {limit} {unit}", estimate)
-
-
 def random_high_girth(
     n: int,
     uniformity: int,
@@ -128,8 +116,9 @@ def random_high_girth(
     best attempt is returned.  At desk scale the guarantee behind the target
     does not yet bind, so misses are expected for small n.  More vertices
     than the default ``BuildLimits().max_vertices``, or a sample of more
-    edges than its ``max_edges``, raises SizeLimitError before any edge is
-    drawn.
+    edges than its ``max_edges``, raises SizeLimitError from the size gate
+    :meth:`~rmhyper.construct.BuildLimits.refuse_beyond` before any edge is
+    drawn; the vertex count is refused before the edge target is computed.
     """
     validate_uniformity(uniformity)
     if n < uniformity:
@@ -139,10 +128,10 @@ def random_high_girth(
         raise ValueError("samples must be >= 1")
 
     limits = BuildLimits()
-    _refuse_count("a carrier on", n, "vertices", limits.max_vertices, SizeEstimate(n, None, False))
+    limits.refuse_beyond(SizeEstimate.of(n), "a carrier")
     target = ceil_power(n, g + 1, g)
     m = comb_at_most(n, uniformity, 2 * target)
-    _refuse_count("a carrier sample of", m, "edges", limits.max_edges, SizeEstimate(n, m, False))
+    limits.refuse_beyond(SizeEstimate.of(n, m), "a carrier sample")
 
     best: CarrierSample | None = None
     population = range(n)

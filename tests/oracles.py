@@ -494,7 +494,7 @@ def girth_reference(h: Hypergraph, cap: int) -> GirthResult:
     if not walk:
         return GirthResult(Girth.at_least(cap + 1), None)
     assert best % 2 == 0
-    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, n, walk, best))
+    return GirthResult(Girth.finite(best // 2), _witness_from_walk(h, walk, best))
 
 
 def delete_short_cycles_reference(h: Hypergraph, g: int) -> tuple[Hypergraph, int]:

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from rmhyper import construct
+from rmhyper import construct, randgen
 from rmhyper.coloring import VerdictStatus, find_good_coloring, find_part_rainbow_bad
 from rmhyper.construct import (
     BuildLimits,
@@ -220,7 +221,7 @@ class TestSupplier:
     def test_impossible_within_limits(self):
         # PG(2, 11) has 266 vertices
         limits = BuildLimits(max_vertices=40, max_edges=100)
-        with pytest.raises(SupplierError):
+        with pytest.raises(SizeLimitError):
             supply_min_degree_girth(2, 5, 12, limits)
 
     @pytest.mark.parametrize(
@@ -282,7 +283,7 @@ class TestSupplier:
         # 2^61 - 1 is prime, but its plane is past SIZE_CAP: no primality test runs
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
         start = time.perf_counter()
-        with pytest.raises(SupplierError, match="over 1e\\+15 edges"):
+        with pytest.raises(SizeLimitError, match="over 1e\\+15 edges"):
             supply_min_degree_girth(2, 5, 2**61)
         assert time.perf_counter() - start < 1
 
@@ -293,7 +294,7 @@ class TestSupplier:
         q = 399_165_290_221 * 798_330_580_441 + 1
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
         for g in (4, 5, 8):
-            with pytest.raises(SupplierError, match="over 1e\\+15 edges"):
+            with pytest.raises(SizeLimitError, match="over 1e\\+15 edges"):
                 supply_min_degree_girth(2, g, q)
 
     @pytest.mark.parametrize("g", [5, 9])
@@ -310,7 +311,7 @@ class TestSupplier:
         # W(5) has 312 vertices and 936 edges
         monkeypatch.setattr(construct, "_polygon_incidence_graph", _unreachable)
         limits = BuildLimits(max_vertices, max_edges)
-        with pytest.raises(SupplierError, match="exceeds the limits"):
+        with pytest.raises(SizeLimitError, match="exceeds the limits"):
             supply_min_degree_girth(2, 8, 6, limits)
 
 
@@ -672,8 +673,69 @@ def test_supplier_table(monkeypatch, ell, g):
 
 def test_supplier_of_an_astronomical_size_is_refused(monkeypatch):
     monkeypatch.setattr(construct, "complete_hypergraph", _unreachable)
-    with pytest.raises(SupplierError, match="10\\^"):
+    with pytest.raises(SizeLimitError, match="10\\^"):
         supply_min_degree_girth(60, 2, 10**40)
+
+
+_SMALL = BuildLimits(max_vertices=311, max_edges=10_000)
+_DEFAULT = BuildLimits()
+
+
+@pytest.mark.parametrize(
+    "refused, limits, what, estimate",
+    [
+        (
+            lambda: build_part_rainbow_forced(3, 5, _SMALL),
+            _SMALL, "part-rainbow-forced recursion for r=3, g=5",
+            SizeEstimate(620, 372, False),
+        ),
+        (
+            lambda: build_rm_unavoidable(3, 3, _SMALL),
+            _SMALL, "rm-unavoidable recursion for r=3, g=3",
+            SizeEstimate(None, None, True, "complete base alone has ~10^2034 edges"),
+        ),
+        (
+            lambda: construct.build_factor(base_rainbow_path(), 50, _SMALL),
+            _SMALL, "complete partite factor with 50 parts",
+            SizeEstimate(3725, 2450, False),
+        ),
+        (
+            lambda: construct.build_factor(base_rainbow_path(), 10**9, _SMALL),
+            _SMALL, f"complete partite factor with {10**9} parts",
+            SizeEstimate(None, None, True, "over 1e+15 copies, vertices or edges"),
+        ),
+        (
+            lambda: supply_min_degree_girth(2, 8, 6, _SMALL),
+            _SMALL, "supplier for ell=2, g=8, q=6", SizeEstimate(312, 936, False),
+        ),
+        (
+            lambda: randgen.random_high_girth(200_000, 3, 3, 0),
+            _DEFAULT, "a carrier", SizeEstimate(200_000, None, False),
+        ),
+        (
+            lambda: randgen.random_high_girth(10**3300, 3, 3, 0),
+            _DEFAULT, "a carrier", SizeEstimate(None, None, True, "~10^3300 vertices"),
+        ),
+        (
+            lambda: randgen.random_search_unavoidable(100_000, 3, 3),
+            _DEFAULT, "a carrier sample", SizeEstimate(100_000, 9_283_178, False),
+        ),
+    ],
+    ids=["pr", "h", "factor", "huge-factor", "supplier", "carrier", "huge-carrier", "search"],
+)
+def test_every_size_refusal_comes_from_the_one_gate(monkeypatch, refused, limits, what, estimate):
+    # every entry point that refuses on size raises SizeLimitError with its
+    # estimate attached, in the message shape of BuildLimits.refuse_beyond;
+    # a carrier past the gate would fail here, not draw millions of edges
+    monkeypatch.setattr(randgen, "random", SimpleNamespace(Random=_unreachable))
+    with pytest.raises(SizeLimitError) as err:
+        refused()
+    assert err.value.estimate == estimate
+    note = f": {estimate.note}" if estimate.note else ""
+    assert str(err.value) == (
+        f"{what} exceeds the limits ({limits.max_vertices} vertices / "
+        f"{limits.max_edges} edges){note}"
+    )
 
 
 def test_supplier_postcondition_fires(monkeypatch):

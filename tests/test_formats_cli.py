@@ -11,6 +11,7 @@ import time
 from decimal import Decimal
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -375,7 +376,10 @@ class TestCli:
         code = run(["random"] + argv + ["--n", "100000", "--g", "3", "-o", str(out)])
         captured = capsys.readouterr()
         assert code == 4
-        assert captured.err.startswith("refused: a carrier sample of 9283178 edges")
+        assert captured.err == (
+            "refused: a carrier sample exceeds the limits (100000 vertices / 500000 edges)"
+            " [estimate: 100000 vertices / 9283178 edges]\n"
+        )
         assert not out.exists()
 
     def test_random_carrier_refuses_a_huge_count_at_once(self, tmp_path, capsys):
@@ -388,7 +392,7 @@ class TestCli:
         elapsed = time.perf_counter() - t0
         assert code == 4
         assert capsys.readouterr().err == (
-            "refused: a carrier on 3000000 vertices exceeds the limit of 100000 vertices"
+            "refused: a carrier exceeds the limits (100000 vertices / 500000 edges)"
             " [estimate: 3000000 vertices]\n"
         )
         assert not out.exists()
@@ -406,10 +410,50 @@ class TestCli:
         elapsed = time.perf_counter() - t0
         captured = capsys.readouterr()
         assert code == 4, captured.err
-        assert captured.err.startswith("refused: a carrier on ~10^3300 vertices exceeds the limit")
+        assert captured.err.startswith(
+            "refused: a carrier exceeds the limits (100000 vertices / 500000 edges):"
+            " ~10^3300 vertices"
+        )
         assert captured.err.rstrip().endswith("[estimate: astronomical]")
         assert not out.exists()
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (
+                ["construct", "pr", "--r", "3", "--g", "5", "--max-vertices", "311"],
+                "part-rainbow-forced recursion for r=3, g=5 exceeds the limits"
+                " (311 vertices / 500000 edges) [estimate: 620 vertices / 372 edges]",
+            ),
+            (
+                ["construct", "factor", "--input", "{pr}", "--parts", "50", "--max-vertices", "311"],
+                "complete partite factor with 50 parts exceeds the limits"
+                " (311 vertices / 500000 edges) [estimate: 3725 vertices / 2450 edges]",
+            ),
+            (
+                ["random", "carrier", "--n", "200000", "--R", "3", "--g", "3"],
+                "a carrier exceeds the limits (100000 vertices / 500000 edges)"
+                " [estimate: 200000 vertices]",
+            ),
+            (
+                ["random", "search", "--n", "100000", "--r", "3", "--g", "3"],
+                "a carrier sample exceeds the limits (100000 vertices / 500000 edges)"
+                " [estimate: 100000 vertices / 9283178 edges]",
+            ),
+        ],
+        ids=["construct-pr", "construct-factor", "random-carrier", "random-search"],
+    )
+    def test_every_size_refusal_has_one_shape(self, tmp_path, capsys, monkeypatch, argv, refusal):
+        pr = tmp_path / "pr23.json"  # the path on three vertices
+        assert run(["construct", "pr", "--r", "2", "--g", "3", "-o", str(pr)]) == 0
+        # a carrier past the gate would exit 5 here, not draw millions of edges
+        monkeypatch.setattr(randgen, "random", SimpleNamespace(Random=None))
+        out = tmp_path / "x.json"
+        code = run([a.format(pr=pr) for a in argv] + ["-o", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == f"refused: {refusal}\n"
+        assert not out.exists()
 
     def test_random_carrier_with_a_huge_girth_target(self, tmp_path, capsys):
         # n^(g+1) alone would have about a billion digits; the target is n + 1
