@@ -370,8 +370,10 @@ class TestCli:
         assert meta["edge_target"] == 28
 
     @pytest.mark.parametrize("argv", [["carrier", "--R", "3"], ["search", "--r", "3"]])
-    def test_random_refuses_an_oversized_sample(self, tmp_path, capsys, argv):
-        # 2 * ceil(100000^(4/3)) edges would be drawn before any check
+    def test_random_refuses_an_oversized_sample(self, tmp_path, capsys, monkeypatch, argv):
+        # 2 * ceil(100000^(4/3)) edges would be drawn before any check; a
+        # sample past the gate would exit 5 here, not draw millions of edges
+        monkeypatch.setattr(randgen, "random", SimpleNamespace(Random=None))
         out = tmp_path / "x.json"
         code = run(["random"] + argv + ["--n", "100000", "--g", "3", "-o", str(out)])
         captured = capsys.readouterr()

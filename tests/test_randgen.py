@@ -66,14 +66,14 @@ class TestCeilPower:
                 assert (c - 1) ** g < n ** (g + 1) <= c**g, (n, g)
             assert ceil_power(n, 10**9 + 1, 10**9) == n + 1
 
-    def test_float_bracket_matches_the_full_search(self):
+    def test_small_roots_match_the_full_search(self):
         for n in range(1, 80):
             for g in range(1, 60):
                 for num, den in ((g + 1, g), (2 * g + 1, g), (g, 1), (3, 2 * g)):
                     assert ceil_power(n, num, den) == ceil_power_reference(n, num, den), (
                         n, num, den,
                     )
-        # roots past 2^36 take Newton steps
+        # roots past 2^60 take a shifted float seed
         assert ceil_power(10**200, 2, 1) == 10**400
         assert ceil_power(10**200, 3, 2) == ceil_power_reference(10**200, 3, 2) == 10**300
 
@@ -95,6 +95,26 @@ class TestCeilPower:
             c = ceil_power(n, den + 1, den)
             assert time.perf_counter() - t0 < 0.5
             assert (c - 1) ** den < n ** (den + 1) <= c**den
+
+    def test_roots_near_two_with_large_exponents_at_once(self):
+        # Newton seeded at 1 first lands near 2^199 / 200 and then shrinks by
+        # 199/200 a step (seconds on the first input); seeded at 2, below the
+        # root 5^0.57 = 2.50.., it overshoots by about e^67 and takes some
+        # 20,000 steps (1 s)
+        for args, root in (
+            ((2**199 - 1, 1, 200), 2),
+            ((2**200, 1, 200), 2),
+            ((2**200 + 1, 1, 200), 3),
+            ((1, 7, 3), 1),
+            ((5, 171, 300), 3),
+        ):
+            t0 = time.perf_counter()
+            assert ceil_power(*args) == root, args
+            assert time.perf_counter() - t0 < 0.1, args
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError):
+            counting_threshold(3, 10**9)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_below_the_cutoff_without_a_wide_search(self):
         # the full search raises a 1.7-million-bit power about 35 times here
