@@ -13,7 +13,8 @@ the three-valued verdicts so shell pipelines can branch on them:
 * 4 - size limit refusal / no supplier in the table
 * 5 - unexpected internal error (a crash is never reported as a verdict)
 
-Artifacts embed the full parameters under "meta", so rerunning the recorded
+Artifacts record under "meta" the command, every option except ``-o`` and
+``--require-target``, and the command's results, so rerunning the recorded
 command reproduces the file byte for byte.  Relative output paths are
 resolved against $RMHYPER_OUTPUT_DIR when it is set.
 """
@@ -65,6 +66,9 @@ _VERDICT_EXIT = {
     VerdictStatus.PROPERTY_HOLDS: EXIT_HOLDS,
     VerdictStatus.BUDGET_EXCEEDED: EXIT_BUDGET,
 }
+_GIRTH_EXIT = {"finite": EXIT_WITNESS, "infinite": EXIT_HOLDS, "at_least": EXIT_BUDGET}
+# the parsed values that change no byte of an artifact
+_UNRECORDED = ("command", "kind", "func", "output", "require_target")
 
 
 class CliError(Exception):
@@ -117,8 +121,16 @@ def _write_text(text: str, path: str | None) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit(h: Hypergraph, meta: dict[str, Any], out: str | None) -> None:
-    _write_text(dumps(h, meta=meta), out)
+def _emit(h: Hypergraph, args: argparse.Namespace, **results: Any) -> None:
+    """``h`` to ``-o``, with the command, its recorded options and ``results``
+    as the meta."""
+    options = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    meta = {"command": f"{args.command} {args.kind}", **options, **results}
+    _write_text(dumps(h, meta=meta), args.output)
+
+
+def _report(report: dict[str, Any], out: str | None) -> None:
+    _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
 
 
 def _read_text(path: str) -> str:
@@ -141,25 +153,16 @@ def _load(path: str, parse: Callable[[str], _T]) -> _T:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     limits = BuildLimits(max_vertices=args.max_vertices, max_edges=args.max_edges)
-    meta: dict[str, Any] = {
-        "command": f"construct {args.kind}",
-        "max_vertices": args.max_vertices,
-        "max_edges": args.max_edges,
-    }
     if args.kind == "pr":
-        meta.update({"r": args.r, "g": args.g})
-        _emit(build_part_rainbow_forced(args.r, args.g, limits), meta, args.output)
+        _emit(build_part_rainbow_forced(args.r, args.g, limits), args)
     elif args.kind == "h":
-        meta.update({"r": args.r, "g": args.g})
         result, trace = build_rm_unavoidable(args.r, args.g, limits)
-        meta["trace"] = trace.to_dict()
-        _emit(result, meta, args.output)
+        _emit(result, args, trace=trace)
     else:  # factor
         loaded = _load(args.input, loads)
         if not isinstance(loaded, PartiteHypergraph):
             raise CliError(f"{args.input}: factor needs a partite hypergraph (with 'parts')")
-        meta.update({"parts": args.parts, "input": args.input})
-        _emit(build_factor(loaded, args.parts, limits), meta, args.output)
+        _emit(build_factor(loaded, args.parts, limits), args)
     return EXIT_WITNESS
 
 
@@ -172,12 +175,8 @@ def _cmd_girth(args: argparse.Namespace) -> int:
             "edges": [sorted(e, key=h.index_of) for e in result.witness.edges],
             "vertices": list(result.witness.vertices),
         }
-    _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", args.output)
-    if result.girth.kind == "finite":
-        return EXIT_WITNESS
-    if result.girth.kind == "infinite":
-        return EXIT_HOLDS
-    return EXIT_BUDGET
+    _report(report, args.output)
+    return _GIRTH_EXIT[result.girth.kind]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -195,24 +194,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }
     if verdict.coloring is not None:
         report["coloring"] = {str(v): c for v, c in verdict.coloring.assignment.items()}
-    _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", args.output)
+    _report(report, args.output)
     return _VERDICT_EXIT[verdict.status]
 
 
 def _cmd_carrier(args: argparse.Namespace) -> int:
     sample = random_high_girth(args.n, args.R, args.g, args.seed)
-    meta = {
-        "command": "random carrier",
-        "n": args.n,
-        "R": args.R,
-        "g": args.g,
-        "seed": args.seed,
-        "edge_target": sample.edge_target,
-        "edges_kept": sample.edges_kept,
-        "target_met": sample.target_met,
-        "edges_deleted": sample.edges_deleted,
-    }
-    _emit(sample.hypergraph, meta, args.output)
+    _emit(
+        sample.hypergraph, args, edge_target=sample.edge_target, edges_kept=sample.edges_kept,
+        target_met=sample.target_met, edges_deleted=sample.edges_deleted,
+    )
     if args.require_target and not sample.target_met:
         return EXIT_BUDGET
     return EXIT_WITNESS
@@ -222,19 +213,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     outcome = random_search_unavoidable(
         args.n, args.r, args.g, args.seed, tries=args.tries, budget=args.budget
     )
-    meta = {
-        "command": "random search",
-        "n": args.n,
-        "r": args.r,
-        "g": args.g,
-        "seed": args.seed,
-        "tries": args.tries,
-        "budget": args.budget,
-        "found": outcome.found,
-        "try_index": outcome.try_index,
-        "solver_nodes": outcome.verdict.nodes,
-    }
-    _emit(outcome.hypergraph, meta, args.output)
+    _emit(
+        outcome.hypergraph, args,
+        found=outcome.found, try_index=outcome.try_index, solver_nodes=outcome.verdict.nodes,
+    )
     if outcome.found:
         return EXIT_HOLDS  # the instance's unavoidability property holds
     if outcome.verdict.status is VerdictStatus.BUDGET_EXCEEDED:
@@ -255,7 +237,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "lhs": result.lhs,
         "rhs": result.rhs,
     }
-    _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", args.output)
+    _report(report, args.output)
     return EXIT_WITNESS
 
 

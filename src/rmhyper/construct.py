@@ -30,7 +30,7 @@ All construction operations relabel their output onto integer vertex ids
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations, product
 from math import comb, factorial, isqrt, log10
@@ -113,22 +113,6 @@ class _Astronomical(SizeLimitError):
 class SupplierError(RuntimeError):
     """No row of the supplier table serves the inputs; size refusals are
     SizeLimitError."""
-
-
-@dataclass
-class TraceNode:
-    """One construction step with its recorded cardinalities."""
-
-    op: str
-    info: dict
-    children: list["TraceNode"] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "info": self.info,
-            "children": [c.to_dict() for c in self.children],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +495,11 @@ class _Build(_Sizes):
         return build()
 
 
+def _node(op: str, info: dict) -> dict:
+    """A trace node: one construction step with its recorded cardinalities."""
+    return {"op": op, "info": info, "children": []}
+
+
 def _shape_info(x: Any) -> dict:
     return {"vertices": x.num_vertices, "edges": x.num_edges, "part_sizes": list(x.part_sizes())}
 
@@ -532,7 +521,7 @@ def _pr_recursion(r: int, g: int, ops: _Sizes) -> Any:
 
 
 def _sweep(
-    ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: TraceNode
+    ops: _Sizes, start: Any, base_for_part: Callable[[int, int], Any], trace: dict
 ) -> Any:
     """Amalgamate ``start`` along parts 0..a-1 in turn, with the
     ``size``-uniform ``base_for_part(j, size)`` at step j: the inner loop of
@@ -546,13 +535,13 @@ def _sweep(
             lambda: amalgamate(current, j, base)[0],
         )
         info = {"part": j, "part_size": size, "copies": base.num_edges, **_shape_info(current)}
-        trace.children.append(TraceNode("amalgamate", info))
+        trace["children"].append(_node("amalgamate", info))
     return current
 
 
-def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, TraceNode]:
+def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, dict]:
     """The recursion of :func:`build_rm_unavoidable`, with its trace."""
-    trace = TraceNode("build_rm_unavoidable", {"r": r, "g": g})
+    trace = _node("build_rm_unavoidable", {"r": r, "g": g})
     if g == 2 or r == 2:  # for r = 2 the base is one edge: acyclic, so of any girth
         n = (r - 1) ** 2 + 1
         result = ops.step(_complete_size(n, r), "complete base", lambda: complete_hypergraph(n, r))
@@ -560,7 +549,7 @@ def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, TraceNode]:
         if g > 2:
             info["note"] = "base case already meets the girth target"
             ops.note = ops.note or info["note"]
-        trace.children.append(TraceNode("complete_base", info))
+        trace["children"].append(_node("complete_base", info))
     else:
         a = (r - 1) ** 2 + r
         pr = _pr_recursion(r, g, ops)
@@ -569,10 +558,10 @@ def _h_recursion(r: int, g: int, ops: _Sizes) -> tuple[Any, TraceNode]:
             lambda: complete_partite_factor(pr, a)[0],
         )
         info = {"parts": a, "copies": comb(a, r), **_shape_info(factor)}
-        trace.children.append(TraceNode("complete_partite_factor", info))
+        trace["children"].append(_node("complete_partite_factor", info))
         sub = lambda j, size: _h_recursion(size, g - 1, ops)[0]
         result = _sweep(ops, factor, sub, trace).base
-    trace.info.update(vertices=result.num_vertices, edges=result.num_edges)
+    trace["info"].update(vertices=result.num_vertices, edges=result.num_edges)
     return result, trace
 
 
@@ -649,9 +638,9 @@ def build_factor(
 
 def build_rm_unavoidable(
     r: int, g: int, limits: BuildLimits = BuildLimits()
-) -> tuple[Hypergraph, TraceNode]:
+) -> tuple[Hypergraph, dict]:
     """An r-uniform hypergraph of girth >= g in which every vertex coloring
-    has a monochromatic or rainbow edge.
+    has a monochromatic or rainbow edge, and the trace of its recursion.
 
     Base (g = 2): the complete r-uniform hypergraph on (r-1)^2 + 1 vertices.
     When that base already has girth >= g (exactly the r = 2 case, where it
@@ -661,6 +650,12 @@ def build_rm_unavoidable(
     part with a recursively built hypergraph whose uniformity is that part's
     size.  Estimate-first, like :func:`build_part_rainbow_forced`; beyond the
     base cases the sizes are astronomical.
+
+    The trace is plain JSON data, which the CLI stores as the meta's "trace":
+    nodes ``{"op": str, "info": dict, "children": [node, ...]}``.  The root
+    records r, g and the result's size; its children are a ``complete_base``
+    (noted when it already meets the girth target), or a
+    ``complete_partite_factor`` and then one ``amalgamate`` per part.
     """
     what = f"rm-unavoidable recursion for r={r}, g={g}"
     limits.refuse_beyond(estimate_h_size(r, g), what)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from math import ceil, comb, floor, inf, log, log2
@@ -333,14 +333,14 @@ def counting_threshold(r: int, g: int, *, n_max: int = 10**12) -> ThresholdResul
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of the randomized search: first certified instance, or the
-    hardest (most search nodes) attempt seen."""
+    """Result of the randomized search: the first certified instance, or else
+    the hardest attempt (the first try with the most search nodes), with the
+    index of its try."""
 
     found: bool
     hypergraph: Hypergraph
     verdict: Verdict
     try_index: int
-    tries_used: int
 
 
 def random_search_unavoidable(
@@ -358,6 +358,7 @@ def random_search_unavoidable(
     Each try draws an (r-1)^2+1-uniform carrier of girth >= g on n vertices
     and one r-subset of each of its edges.  Every certified instance is
     re-verified: girth at least g and an exhausted good-coloring search.
+    When no try is certified, all ``tries`` ran and the hardest is returned.
     """
     _check_r(r)
     validate_girth(g)
@@ -367,19 +368,19 @@ def random_search_unavoidable(
     if tries < 1 or budget < 1:
         raise ValueError("tries and budget must be positive")
 
-    best: tuple[int, SearchOutcome] | None = None
+    best: SearchOutcome | None = None
     for t in range(tries):
         seed_t = derive_seed(seed, f"try:{t}")
         carrier = random_high_girth(n, carrier_uniformity, g, seed_t)
         _, candidate = sample_subedges(carrier.hypergraph, r, seed_t)
         verdict = find_good_coloring(candidate, budget=budget)
         found = verdict.status is VerdictStatus.PROPERTY_HOLDS
-        outcome = SearchOutcome(found, candidate, verdict, t, t + 1)
+        outcome = SearchOutcome(found, candidate, verdict, t)
         if found:
             if not girth_at_least(candidate, g):
                 raise AssertionError("certified instance fails its girth recheck")
             return outcome
-        if best is None or verdict.nodes > best[0]:
-            best = (verdict.nodes, outcome)
+        if best is None or verdict.nodes > best.verdict.nodes:
+            best = outcome
     assert best is not None
-    return replace(best[1], tries_used=tries)
+    return best

@@ -245,7 +245,7 @@ def test_criterion_12_end_to_end_two_uniform_girth_three():
     ok = h.is_uniform(2)
     ok &= girth(h, cap=3).girth.guarantees_at_least(3)
     ok &= find_good_coloring(h).status is VerdictStatus.PROPERTY_HOLDS
-    ok &= trace.info["r"] == 2 and trace.info["g"] == 3
+    ok &= trace["info"]["r"] == 2 and trace["info"]["g"] == 3
     report(12, "2-uniform girth-3 instance builds and certifies end to end", ok, time.time() - t0, 300)
 
 

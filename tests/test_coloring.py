@@ -5,11 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from rmhyper import coloring
 from rmhyper.coloring import (
     DEFAULT_BUDGET,
     Coloring,
     ColoringError,
     EdgeClass,
+    Verdict,
     VerdictStatus,
     classify_edge,
     coloring_is_good,
@@ -108,6 +110,11 @@ class TestColoringCanonicalForm:
         h = Hypergraph([0, 1], [[0, 1]])
         with pytest.raises(ColoringError):
             Coloring.from_assignment(h, {0: 0})
+
+    def test_unknown_vertex_rejected(self):
+        h = Hypergraph([0, 1], [[0, 1]])
+        with pytest.raises(ColoringError, match="unknown vertices \\{2\\}"):
+            Coloring.from_assignment(h, {0: 0, 1: 1, 2: 0})
 
     def test_class_sizes(self):
         h = Hypergraph(range(4), [[0, 1]])
@@ -258,6 +265,10 @@ class TestPartRainbow:
         assert is_part_rainbow(p, v.coloring)
         assert not has_rainbow_edge(base, v.coloring)
 
+    def test_uncolored_part_member_raises(self):
+        with pytest.raises(ColoringError, match="vertex 'y' is uncolored"):
+            is_part_rainbow(rainbow_path(), {"x": 0, "z": 1})
+
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         h = loose_path(1201)
         p = PartiteHypergraph(h, [(v,) for v in h.vertices])
@@ -293,6 +304,22 @@ class TestPartRainbow:
                 assert got.status is VerdictStatus.PROPERTY_HOLDS
             else:
                 assert got.status is VerdictStatus.WITNESS_FOUND
+
+
+@pytest.mark.parametrize(
+    "solve, instance, bad",
+    [
+        (find_good_coloring, triple, {1: 0, 2: 0, 3: 0}),  # a monochromatic edge
+        (find_part_rainbow_bad, rainbow_path, {"x": 0, "y": 1, "z": 2}),  # rainbow edges
+        (find_part_rainbow_bad, rainbow_path, {"x": 0, "y": 0, "z": 0}),  # part x, z not injective
+    ],
+)
+def test_a_coloring_that_fails_reverification_is_never_reported(monkeypatch, solve, instance, bad):
+    h = instance()
+    verdict = Verdict(VerdictStatus.WITNESS_FOUND, Coloring.from_assignment(h, bad), 1)
+    monkeypatch.setattr(coloring, "_backtrack", lambda *args, **kwargs: verdict)
+    with pytest.raises(AssertionError, match="fails re-verification"):
+        solve(h)
 
 
 def _quadratic_connectivity_order(h):

@@ -19,7 +19,6 @@ from rmhyper.construct import (
     SizeEstimate,
     SizeLimitError,
     SupplierError,
-    TraceNode,
     amalgamate,
     attach_edge_markers,
     base_rainbow_path,
@@ -92,6 +91,11 @@ class TestAmalgamate:
         with pytest.raises(HypergraphError, match=">= 2"):
             amalgamate(h, 1, complete_hypergraph(3, 2))
 
+    @pytest.mark.parametrize("part_index", [-1, 2])
+    def test_part_index_out_of_range_rejected(self, part_index):
+        with pytest.raises(HypergraphError, match=f"part index {part_index} out of range"):
+            amalgamate(base_rainbow_path(), part_index, complete_hypergraph(3, 2))
+
     def test_seventy_vertex_instance(self):
         ext, _, _ = attach_edge_markers(base_rainbow_path())
         result, maps = amalgamate(ext, 2, complete_hypergraph(7, 2))
@@ -149,6 +153,21 @@ class TestAmalgamate:
             result, _ = amalgamate(h, i, f)
             assert lower(result.base) >= min(lower(h.base), lower(f))
             done += 1
+
+
+@pytest.mark.parametrize(
+    "identity, block, message",
+    [
+        ("_amalgam_size", lambda: amalgamate(base_rainbow_path(), 0, complete_hypergraph(3, 2)),
+         "amalgamation broke its cardinality identities"),
+        ("_factor_size", lambda: complete_partite_factor(base_rainbow_path(), 3),
+         "partite factor broke its cardinality identities"),
+    ],
+)
+def test_a_block_that_breaks_its_identity_fails_fast(monkeypatch, identity, block, message):
+    monkeypatch.setattr(construct, identity, lambda *args: construct._Size(0, 0))
+    with pytest.raises(AssertionError, match=message):
+        block()
 
 
 class TestCompletePartiteFactor:
@@ -246,6 +265,19 @@ class TestSupplier:
         for ell, g, q in [(3, 3, 6), (3, 3, 2), (3, 3, 3), (3, 4, 2), (2, 9, 6), (2, 5, 5)]:
             with pytest.raises(SupplierError, match="no supplier"):
                 supply_min_degree_girth(ell, g, q)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 2], [0, 3], [1, 2], [1, 2, 3]],  # not 2-uniform
+            [[0, 1], [0, 2], [0, 3], [1, 2]],  # vertex 3 has degree 1
+        ],
+    )
+    def test_a_row_that_loses_uniformity_or_degree_is_refused(self, monkeypatch, edges):
+        # a stand-in of K_{2,2}'s size, 4 vertices and 4 edges, passes the size check
+        monkeypatch.setattr(construct, "_polygon_incidence_graph", lambda n, p: Hypergraph(range(4), edges))
+        with pytest.raises(AssertionError, match="lost uniformity or minimum degree"):
+            supply_min_degree_girth(2, 4, 2)
 
     def test_primality_matches_trial_division(self):
         # the plane (g = 5) and the quadrangle (g = 7) serve exactly the q with
@@ -401,6 +433,12 @@ class TestBuildPartRainbowForced:
         with pytest.raises(AssertionError, match="supplier output differs from its table size"):
             build_part_rainbow_forced(3, 4)
 
+    def test_a_non_uniform_result_fails_verification(self, monkeypatch):
+        bad = Hypergraph(range(3), [[0, 1], [0, 1, 2]])
+        monkeypatch.setattr(construct, "_pr_recursion", lambda r, g, ops: bad)
+        with pytest.raises(AssertionError, match="recursion produced a non-uniform hypergraph"):
+            build_part_rainbow_forced(3, 3)
+
     @pytest.mark.parametrize("g", range(2, 9))
     def test_three_uniform_builds_are_exact_and_seed_free(self, g):
         # every supplier is deterministic: two builds agree byte for byte
@@ -424,7 +462,7 @@ class TestBuildRmUnavoidable:
     def test_base_case_three_uniform(self):
         h, trace = build_rm_unavoidable(3, 2)
         assert h == complete_hypergraph(5, 3)
-        assert trace.info["edges"] == 10
+        assert trace["info"]["edges"] == 10
 
     def test_two_uniform_single_edge(self):
         h, _ = build_rm_unavoidable(2, 2)
@@ -434,7 +472,7 @@ class TestBuildRmUnavoidable:
         h, trace = build_rm_unavoidable(2, 3)
         assert h == complete_hypergraph(2, 2)
         assert girth(h, cap=3).girth.kind == "infinite"
-        notes = [c.info.get("note", "") for c in trace.children]
+        notes = [c["info"].get("note", "") for c in trace["children"]]
         assert any("girth target" in n for n in notes)
 
     def test_desk_scale_instances_are_unavoidable(self):
@@ -524,20 +562,30 @@ class TestAmalgamationSweep:
         # the full-size recursive ones, checking the recorded cardinalities
         factor, _ = complete_partite_factor(base_rainbow_path(), 3)
         assert factor.part_sizes() == (4, 3, 2)
-        trace = TraceNode("sweep", {})
+        trace = {"op": "sweep", "info": {}, "children": []}
         result = construct._sweep(
             construct._Build(), factor, lambda j, size: complete_hypergraph(size + 1, size), trace
         )
-        assert len(trace.children) == 3
+        assert len(trace["children"]) == 3
         current_edges = factor.num_edges
-        for step in trace.children:
-            copies = step.info["copies"]
-            assert step.info["edges"] == copies * current_edges
-            current_edges = step.info["edges"]
+        for step in trace["children"]:
+            copies = step["info"]["copies"]
+            assert step["info"]["edges"] == copies * current_edges
+            current_edges = step["info"]["edges"]
         assert result.num_edges == current_edges
         # every part ends identified with its stand-in base's vertex set
-        dump = trace.to_dict()
-        assert [c["op"] for c in dump["children"]] == ["amalgamate"] * 3
+        assert [c["op"] for c in trace["children"]] == ["amalgamate"] * 3
+
+
+    def test_a_sweep_past_the_size_cap_is_astronomical(self):
+        # stand-in bases of 10^9 edges: the second step passes SIZE_CAP
+        factor = construct._factor_size(base_rainbow_path(), 3)
+        huge = lambda j, size: construct._Size(10**9, 10**9)
+        trace = {"op": "sweep", "info": {}, "children": []}
+        with pytest.raises(SizeLimitError, match="^exceeds 1e\\+15 at sweep step 2$") as refused:
+            construct._sweep(construct._Sizes(), factor, huge, trace)
+        assert refused.value.estimate.astronomical
+        assert len(trace["children"]) == 1
 
 
 def _base_trace(r, g, vertices, edges, **note):
@@ -616,7 +664,7 @@ def test_pinned_outputs(kind, r, g, estimate, digest, trace):
         assert sizes.part_sizes() == built.part_sizes()
     else:
         built, built_trace = build_rm_unavoidable(r, g)
-        assert built_trace.to_dict() == trace
+        assert built_trace == trace
     assert hashlib.sha256(dumps(built).encode()).hexdigest()[:16] == digest
     assert (estimate.vertices, estimate.edges) == (built.num_vertices, built.num_edges)
 

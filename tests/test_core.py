@@ -35,6 +35,10 @@ class TestHypergraphConstruction:
         assert h.num_edges == 10
         assert h.is_uniform(3)
 
+    def test_complete_needs_r_vertices(self):
+        with pytest.raises(HypergraphError, match="need at least r=3 vertices, got 2"):
+            complete_hypergraph(2, 3)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(HypergraphError, match="duplicate edge"):
             Hypergraph(["x", "y"], [{"x", "y"}, {"y", "x"}])

@@ -23,6 +23,7 @@ from rmhyper.formats import (
     FormatError,
     dumps,
     from_json_dict,
+    load_meta,
     loads,
     to_dot,
 )
@@ -53,6 +54,13 @@ class TestJson:
         doc = json.loads(dumps(h, meta={"command": "test", "seed": 1}))
         assert doc["meta"]["seed"] == 1
         assert loads(json.dumps(doc)) == h
+
+    @pytest.mark.parametrize("meta, expected", [(None, {}), ([1], {}), ("x", {}), ({"seed": 1}, {"seed": 1})])
+    def test_load_meta_is_an_object_or_empty(self, meta, expected):
+        doc = {"vertices": [0, 1], "edges": [[0, 1]]}
+        if meta is not None:
+            doc["meta"] = meta
+        assert load_meta(json.dumps(doc)) == expected
 
     def test_loader_revalidates(self):
         with pytest.raises(FormatError, match="duplicate edge"):
@@ -97,6 +105,7 @@ class TestJson:
     @pytest.mark.parametrize(
         "text, match",
         [
+            ('{"vertices": [0, 1], "edges": {}}', "^key 'edges' must be a list$"),
             ('{"vertices": ["a", "b", "c"], "edges": ["ab", ["b", "c"]]}', "^edge #0 is not a JSON array$"),
             ('{"vertices": [0, 1], "edges": [[0, 1], {"0": 1, "1": 2}]}', "^edge #1 is not a JSON array$"),
             ('{"vertices": [0, 1], "edges": [[0, 0, 1]]}', "^edge #0 lists vertex 0 twice$"),
@@ -765,6 +774,51 @@ def test_bound_runs_without_mpmath(tmp_path):
     assert done.returncode == 0, done.stderr
     pinned = {shlex.split(command)[-1]: digest for command, _, digest in CLI_CHAIN}
     assert hashlib.sha256((tmp_path / "bound.json").read_bytes()).hexdigest() == pinned["bound.json"]
+
+
+@pytest.mark.parametrize("output_dir", [None, "out"])
+def test_dash_output_writes_to_stdout(tmp_path, monkeypatch, capsys, output_dir):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    if output_dir is not None:
+        (tmp_path / output_dir).mkdir()
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / output_dir))
+    assert run(["bound", "--r", "3", "--g", "3", "-o", "-"]) == 0
+    pinned = {shlex.split(command)[-1]: digest for command, _, digest in CLI_CHAIN}
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == pinned["bound.json"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ([] if output_dir is None else [output_dir])
+
+
+# one command per artifact kind; --require-target changes only the exit code
+ARTIFACT_COMMANDS = [
+    "construct pr --r 3 --g 3 --max-vertices 5000",
+    "construct h --r 2 --g 3 --max-edges 70",
+    "construct factor --input pr33.json --parts 4",
+    "random carrier --n 12 --R 5 --g 3 --seed 9 --require-target",
+    "random search --n 8 --r 3 --g 2 --seed 7 --tries 3 --budget 1000",
+]
+
+
+@pytest.mark.parametrize("command", ARTIFACT_COMMANDS)
+def test_rerunning_the_recorded_command_reproduces_the_artifact(tmp_path, monkeypatch, capsys, command):
+    # every option of the leaf parser but -h, -o and --require-target is in
+    # the meta, and the command rebuilt from the meta writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", "pr33.json"]) == 0
+    argv = shlex.split(command)
+    assert run(argv + ["-o", "first.json"]) in (0, 1, 2), capsys.readouterr().err
+    meta = json.loads((tmp_path / "first.json").read_text())["meta"]
+    leaf = dict(_leaf_commands(cli.build_parser()))[tuple(argv[:2])]
+    options = [a for a in leaf._actions if a.dest not in ("help", "output", "require_target")]
+    assert options and all(a.option_strings for a in options)
+    rerun = shlex.split(meta["command"])
+    for action in options:
+        rerun += [action.option_strings[-1], str(meta[action.dest])]
+    assert rerun[:2] == argv[:2]
+    assert run(rerun + ["-o", "again.json"]) in (0, 1, 2), capsys.readouterr().err
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 def test_counting_threshold_does_not_import_mpmath():

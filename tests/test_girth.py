@@ -9,7 +9,7 @@ import pytest
 from rmhyper import randgen
 from rmhyper.construct import build_factor, build_part_rainbow_forced, supply_min_degree_girth
 from rmhyper.core import Hypergraph, HypergraphError, complete_hypergraph
-from rmhyper.girth import delete_short_cycles, girth, girth_at_least
+from rmhyper.girth import CycleWitness, Girth, delete_short_cycles, girth, girth_at_least
 from rmhyper.randgen import random_high_girth, random_search_unavoidable
 
 from oracles import (
@@ -62,6 +62,24 @@ class TestGirth:
         ):
             with pytest.raises(HypergraphError, match="not in hypergraph"):
                 witness.validate(other)
+
+    @pytest.mark.parametrize(
+        "edges, vertices, message",
+        [
+            ([(0, 1), (1, 2), (2, 0)], (1, 2), "must pair g>=2 edges with g vertices"),
+            ([(0, 1), (0, 1), (1, 2)], (1, 0, 2), "edges are not distinct"),
+            ([(0, 1), (1, 2), (2, 0)], (1, 1, 0), "vertices are not distinct"),
+            ([(0, 1), (1, 2), (2, 0)], (0, 2, 1), "connector 0 not in both incident edges"),
+        ],
+    )
+    def test_malformed_witness_is_rejected(self, edges, vertices, message):
+        witness = CycleWitness(tuple(map(frozenset, edges)), vertices)
+        with pytest.raises(HypergraphError, match=message):
+            witness.validate(cycle_graph(3))
+
+    def test_finite_girth_below_two_is_rejected(self):
+        with pytest.raises(ValueError, match="finite girth must be >= 2, got 1"):
+            Girth.finite(1)
 
     def test_long_cycle_beyond_cap(self):
         res = girth(cycle_graph(9), cap=3)

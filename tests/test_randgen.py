@@ -167,6 +167,8 @@ class TestRandomHighGirth:
             random_high_girth(3, 5, 3, seed=0)
         with pytest.raises(ValueError):
             random_high_girth(12, 5, 1, seed=0)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            random_high_girth(12, 5, 3, seed=0, samples=0)
 
     def test_kept_carriers_are_compact(self):
         # each edge is kept once, as a tuple of vertex positions; frozensets
@@ -530,7 +532,12 @@ class TestRandomSearch:
         out = random_search_unavoidable(5, 3, 2, seed=0, tries=4, budget=100_000)
         assert not out.found
         assert out.verdict.status is VerdictStatus.WITNESS_FOUND
-        assert out.tries_used == 4
+        # at n = 7, seed 1 the six tries take 11, 7, 11, 15, 14 and 12 nodes:
+        # the hardest is try 3, and of the tied tries 0 and 2 the first wins
+        for tries, index, nodes in [(6, 3, 15), (3, 0, 11)]:
+            out = random_search_unavoidable(7, 3, 2, seed=1, tries=tries, budget=100_000)
+            assert not out.found
+            assert (out.try_index, out.verdict.nodes) == (index, nodes)
 
     def test_params_validation(self):
         # each check fires before the later ones
