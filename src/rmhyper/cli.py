@@ -15,8 +15,7 @@ the three-valued verdicts so shell pipelines can branch on them:
 
 Artifacts record under "meta" the command, every option except ``-o`` and
 ``--require-target``, and the command's results, so rerunning the recorded
-command reproduces the file byte for byte.  Relative output paths are
-resolved against $RMHYPER_OUTPUT_DIR when it is set.
+command reproduces the file byte for byte.
 """
 from __future__ import annotations
 
@@ -86,7 +85,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-OUTPUT_DIR_ENV = "RMHYPER_OUTPUT_DIR"
 _T = TypeVar("_T")
 
 
@@ -96,8 +94,6 @@ def _write_text(text: str, path: str | None) -> None:
     first, and a regular file is replaced by a complete temporary copy."""
     if path == "-":
         path = None
-    elif path is not None and (base := os.environ.get(OUTPUT_DIR_ENV)) and not os.path.isabs(path):
-        path = os.path.join(base, path)
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:

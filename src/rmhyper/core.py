@@ -9,20 +9,21 @@ runs.
 
 A :class:`Hypergraph` stores each edge once, as the sorted tuple of its
 vertex positions; the frozensets of vertex ids and the degrees are built
-from the tuples on first use.  The public constructor validates its input.
-``without_edges`` keeps a subset of valid, sorted tuples, skips the
-validation and shares the vertex index with its parent.  A hypergraph built
-on ``range(n)``, as the builders' results and the random carriers are,
-keeps no index dict: each vertex is its own position.  Values are immutable
-after construction, and a lazily built cache holds the same tuple whichever
-thread builds it, so values are safe to share between concurrent workers
-without synchronisation.
+from the tuples on first use.  The public constructors validate their
+input; among other things, no edge or part lists a vertex twice (a repeat is
+refused, not dropped).  ``without_edges`` keeps a subset of valid, sorted
+tuples, skips the validation and shares the vertex index with its parent.
+A hypergraph built on ``range(n)``, as the builders' results and the random
+carriers are, keeps no index dict: each vertex is its own position.  Values
+are immutable after construction, and a lazily built cache holds the same
+tuple whichever thread builds it, so values are safe to share between
+concurrent workers without synchronisation.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, compress
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 VertexId = Hashable
 _Keys = tuple[tuple[int, ...], ...]  # sorted tuples of vertex positions, in sorted order
@@ -75,6 +76,7 @@ class Hypergraph:
 
     * every edge is a subset of the vertex set,
     * every edge has at least 2 vertices,
+    * no edge lists a vertex twice,
     * edges form a set (no duplicates).
 
     Each edge is stored once, as the sorted tuple of its vertex positions
@@ -104,10 +106,13 @@ class Hypergraph:
             position = vindex.__getitem__
 
         keys: set[tuple[int, ...]] = set()
-        for raw in edges:
-            edge = frozenset(raw)
+        for i, raw in enumerate(edges):
+            edge = tuple(raw)  # read once, so an iterator is refused as a list is
             if len(edge) < 2:
                 raise HypergraphError(f"edge {sorted(map(repr, edge))} has fewer than 2 vertices")
+            if len(set(edge)) != len(edge):
+                twice = next(v for j, v in enumerate(edge) if v in edge[:j])
+                raise HypergraphError(f"edge #{i} lists vertex {twice!r} twice")
             try:
                 key = tuple(sorted(map(position, edge)))
             except (KeyError, ValueError):
@@ -233,6 +238,7 @@ class PartiteHypergraph(Hypergraph):
     ``base`` it is built from, without validating them again.  Invariants
     enforced at construction:
 
+    * no part lists a vertex twice,
     * parts are pairwise disjoint and their union is the whole vertex set,
     * every edge contains at most one vertex from each part.
 
@@ -243,16 +249,18 @@ class PartiteHypergraph(Hypergraph):
 
     __slots__ = ("_base", "_parts")
 
-    def __init__(self, base: Hypergraph, parts: Sequence[Iterable[VertexId]]):
+    def __init__(self, base: Hypergraph, parts: Iterable[Iterable[VertexId]]):
         vs, vindex = base.vertices, base._vindex
         part_at: list[int] = [-1] * len(vs)  # the part of each vertex position
         norm: list[tuple[VertexId, ...]] = []
         for i, raw in enumerate(parts):
             positions = []
-            for v in set(raw):
+            for v in raw:
                 if v not in vindex:
                     raise HypergraphError(f"unknown vertex {v!r}")
                 p = vindex[v]
+                if part_at[p] == i:
+                    raise HypergraphError(f"part #{i} lists vertex {v!r} twice")
                 if part_at[p] >= 0:
                     raise HypergraphError(f"vertex {v!r} appears in parts {part_at[p]} and {i}")
                 part_at[p] = i

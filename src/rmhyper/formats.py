@@ -7,8 +7,9 @@ ids are strings or integers (not booleans), and no two ids may have the same
 text form, such as ``1`` and ``"1"``, because reports and DOT output name
 vertices by that text.  A writer given other ids raises :class:`FormatError`
 instead of writing a document the loader would refuse.  The loader also
-refuses an edge or part that is not a JSON array, has a member of another
-type than a vertex id, or lists a vertex twice.
+refuses an edge or part that is not a JSON array or has a member of another
+type than a vertex id; one that lists a vertex twice is refused by the
+:mod:`core` constructors, whose message the loader passes on.
 
 Dumps are canonical.  The document lists the vertices in order, each edge
 and part in canonical vertex order, and the edges sorted lexicographically by
@@ -67,16 +68,6 @@ def _arrays(doc: dict[str, Any], key: str) -> list:
     return items
 
 
-def _no_repeats(key: str, items: list, kept: Sequence[Sequence[Any]]) -> None:
-    """Refuse ``items`` if one lists a vertex twice.  ``kept`` is what was
-    built from them, repeats dropped, so equal member counts prove there are
-    none; the offender is looked for only when the counts differ."""
-    if sum(map(len, items)) != sum(map(len, kept)):
-        pos, item = next((i, x) for i, x in enumerate(items) if len(set(x)) != len(x))
-        twice = next(v for v in item if item.count(v) > 1)
-        raise FormatError(f"{key[:-1]} #{pos} lists vertex {twice!r} twice")
-
-
 def from_json_dict(doc: dict[str, Any]) -> Hypergraph:
     if not isinstance(doc, dict):
         raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
@@ -89,13 +80,9 @@ def from_json_dict(doc: dict[str, Any]) -> Hypergraph:
     _check_vertex_ids(doc["vertices"])
     try:
         h = Hypergraph(doc["vertices"], edges)
-        _no_repeats("edges", edges, h.edge_index_tuples())
         if "parts" not in doc:
             return h
-        parts = _arrays(doc, "parts")
-        p = PartiteHypergraph(h, parts)
-        _no_repeats("parts", parts, p.parts)
-        return p
+        return PartiteHypergraph(h, _arrays(doc, "parts"))
     except HypergraphError as exc:
         raise FormatError(str(exc)) from exc
     except TypeError as exc:

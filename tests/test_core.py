@@ -51,6 +51,16 @@ class TestHypergraphConstruction:
         with pytest.raises(HypergraphError, match="fewer than 2"):
             Hypergraph([0, 1], [[0]])
 
+    @pytest.mark.parametrize("make", [list, tuple, iter], ids=lambda make: make.__name__)
+    def test_repeated_member_rejected(self, make):
+        # a repeat is refused, not dropped, however the edge is given
+        with pytest.raises(HypergraphError, match=r"^edge #0 lists vertex 0 twice$"):
+            Hypergraph(range(3), [make([0, 0, 1])])
+
+    def test_repeat_is_named_by_input_position(self):
+        with pytest.raises(HypergraphError, match=r"^edge #2 lists vertex 'y' twice$"):
+            Hypergraph(["x", "y", "z"], iter([("x", "y"), ("y", "z"), ("z", "y", "y")]))
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(HypergraphError, match="duplicate vertex"):
             Hypergraph([0, 0], [])
@@ -259,6 +269,12 @@ class TestPartiteValidation:
     def test_parts_must_be_disjoint(self):
         with pytest.raises(HypergraphError, match="appears in parts"):
             PartiteHypergraph(path_graph(), [("x", "y"), ("y", "z")])
+
+    @pytest.mark.parametrize("make", [list, tuple, iter], ids=lambda make: make.__name__)
+    def test_repeated_member_rejected(self, make):
+        base = Hypergraph([0, 1], [[0, 1]])
+        with pytest.raises(HypergraphError, match=r"^part #1 lists vertex 1 twice$"):
+            PartiteHypergraph(base, [[0], make([1, 1])])
 
     def test_empty_part_allowed(self):
         p = PartiteHypergraph(Hypergraph([0, 1], [[0, 1]]), [(0,), (1,), ()])

@@ -648,16 +648,21 @@ class TestCli:
         assert run(["solve", "part-rainbow", str(f)]) == 3
         capsys.readouterr()
 
-    def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RMHYPER_OUTPUT_DIR", str(tmp_path))
-        assert run(["construct", "h", "--r", "3", "--g", "2", "-o", "via-env.json"]) == 0
+    def test_output_paths_are_taken_as_given(self, tmp_path, capsys, monkeypatch):
+        # an -o path is taken as given, like an input path, so the chain
+        # reads back what it wrote whatever RMHYPER_OUTPUT_DIR holds
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.setenv("RMHYPER_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+        for command in (
+            "construct pr --r 3 --g 3 -o pr33.json",
+            "construct factor --input pr33.json --parts 4 -o f.json",
+            "girth pr33.json -o g.json",
+        ):
+            assert run(shlex.split(command)) == 0, (command, capsys.readouterr().err)
         capsys.readouterr()
-        assert loads((tmp_path / "via-env.json").read_text()) == complete_hypergraph(5, 3)
-        # absolute paths ignore the env var
-        target = tmp_path / "abs.json"
-        assert run(["construct", "h", "--r", "3", "--g", "2", "-o", str(target)]) == 0
-        capsys.readouterr()
-        assert target.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "f.json", "g.json", "pr33.json"]
+        assert list((tmp_path / "elsewhere").iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -751,7 +756,6 @@ CLI_CHAIN = [
 
 def test_cli_chain_is_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     for command, code, digest in CLI_CHAIN:
         argv = shlex.split(command)
         assert run(argv) == code, capsys.readouterr().err
@@ -766,10 +770,8 @@ def test_bound_runs_without_mpmath(tmp_path):
         "sys.argv = ['rmhyper', 'bound', '--r', '3', '--g', '3', '-o', 'bound.json']; "
         "runpy.run_module('rmhyper', run_name='__main__')"
     )
-    env = _src_env()
-    env.pop(cli.OUTPUT_DIR_ENV, None)
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     pinned = {shlex.split(command)[-1]: digest for command, _, digest in CLI_CHAIN}
@@ -779,10 +781,9 @@ def test_bound_runs_without_mpmath(tmp_path):
 @pytest.mark.parametrize("output_dir", [None, "out"])
 def test_dash_output_writes_to_stdout(tmp_path, monkeypatch, capsys, output_dir):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     if output_dir is not None:
         (tmp_path / output_dir).mkdir()
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / output_dir))
+        monkeypatch.setenv("RMHYPER_OUTPUT_DIR", str(tmp_path / output_dir))
     assert run(["bound", "--r", "3", "--g", "3", "-o", "-"]) == 0
     pinned = {shlex.split(command)[-1]: digest for command, _, digest in CLI_CHAIN}
     out = capsys.readouterr().out.encode("utf-8")
@@ -805,7 +806,6 @@ def test_rerunning_the_recorded_command_reproduces_the_artifact(tmp_path, monkey
     # every option of the leaf parser but -h, -o and --require-target is in
     # the meta, and the command rebuilt from the meta writes the same bytes
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     assert run(["construct", "pr", "--r", "3", "--g", "3", "-o", "pr33.json"]) == 0
     argv = shlex.split(command)
     assert run(argv + ["-o", "first.json"]) in (0, 1, 2), capsys.readouterr().err
